@@ -15,7 +15,7 @@ from .instances import (DEPOT, Instance, ProblemKind, Solution,
                         euclidean_cost_matrix, generate_tsp, generate_tsptw,
                         generate_vrp, read_instance, write_instance)
 from .policy import (Policy, PolicyTables, PotentialState, build_policy_tables,
-                     initial_potential, score, visit_update)
+                     initial_potential, visit_update)
 from .solver import SolveResult, SolverConfig, backtrack, solve
 
 __all__ = [
@@ -24,7 +24,7 @@ __all__ = [
     "SolverConfig", "SparseGraph", "backtrack", "brute_force", "build_policy_tables",
     "build_solution", "cost_heatmap", "decode_routes", "euclidean_cost_matrix",
     "exact_dp", "generate_tsp", "generate_tsptw", "generate_vrp",
-    "initial_potential", "read_heatmap", "read_instance", "replay", "score",
+    "initial_potential", "read_heatmap", "read_instance", "replay",
     "solve", "sparsify_knn", "sparsify_threshold", "symmetrize", "visit_update",
     "write_heatmap", "write_instance",
 ]

@@ -97,7 +97,10 @@ class RunReport:
 def _instance_paths(spec: str) -> list[Path]:
     p = Path(spec)
     if p.is_dir():
-        return sorted(q for q in p.iterdir() if q.suffix == ".json")
+        paths = sorted(q for q in p.iterdir() if q.suffix == ".json")
+        if not paths:
+            raise FileNotFoundError(f"no .json instance files in {spec}")
+        return paths
     if p.is_file():
         return [p]
     raise FileNotFoundError(f"no instance file or directory at {spec}")
@@ -136,7 +139,7 @@ def _solve_one(args: tuple) -> ReportRow:
         t0 = time.perf_counter()
         result = solve(instance, config, heatmap=heatmap)
         solve_time = time.perf_counter() - t0
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, RuntimeError) as exc:
         return ReportRow(instance_id, None, False, config.beam_size,
                          config.policy.value, label, 0.0, hm_time, error=str(exc))
     if not result.found:
@@ -173,7 +176,6 @@ def _config_from_args(args, beam_size=None, policy=None, threshold=None,
         knn=knn,
         dominance_enabled=(dominance if dominance is not None
                            else args.dominance == "on"),
-        use_score_bound_prefilter=args.score_bound_prefilter == "on",
         invert_cost_heat=getattr(args, "invert_cost_heat", False),
     )
 
@@ -293,7 +295,6 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--dominance", default="on")
         else:
             p.add_argument("--dominance", choices=["on", "off"], default="on")
-        p.add_argument("--score-bound-prefilter", choices=["on", "off"], default="off")
         p.add_argument("--jobs", type=int, default=1)
         p.add_argument("--out")
 

@@ -55,7 +55,7 @@ def replay(
     n = instance.n
     costs = instance.cost_matrix()
     kind = instance.kind
-    edges = graph.edge_set() if graph is not None else None
+    adj = graph.adj if graph is not None else None
 
     visited = initial_visited(kind)
     current = DEPOT
@@ -67,7 +67,7 @@ def replay(
     bad: list[str] = []
 
     def check_edge(i: int, j: int) -> None:
-        if edges is not None and i != j and (i, j) not in edges:
+        if adj is not None and i != j and not adj[i, j]:
             bad.append(f"edge ({i}, {j}) not in sparse graph")
 
     customers = n - 1

@@ -51,42 +51,32 @@ class Heatmap:
 
 @dataclass(frozen=True)
 class SparseGraph:
-    """Per-node sorted outgoing adjacency (no self-loops)."""
+    """Expansion graph: read-only boolean adjacency, adj[i, j] allows the
+    move i -> j (no self-loops)."""
 
-    neighbors: tuple[tuple[int, ...], ...]
+    adj: np.ndarray
 
     def __post_init__(self) -> None:
-        n = len(self.neighbors)
-        norm = []
-        for i, nbrs in enumerate(self.neighbors):
-            nbrs = tuple(int(j) for j in nbrs)
-            if any(j == i for j in nbrs):
-                raise ValueError(f"self-loop at node {i}")
-            if any(j < 0 or j >= n for j in nbrs):
-                raise ValueError(f"neighbor out of range at node {i}")
-            if any(a >= b for a, b in zip(nbrs, nbrs[1:])):
-                raise ValueError(f"neighbor list of node {i} not strictly increasing")
-            norm.append(nbrs)
-        object.__setattr__(self, "neighbors", tuple(norm))
+        adj = np.array(self.adj, dtype=bool)
+        if adj.ndim != 2 or adj.shape[0] != adj.shape[1]:
+            raise ValueError("adjacency must be a square matrix")
+        if adj.diagonal().any():
+            raise ValueError(f"self-loop at node {int(np.argmax(adj.diagonal()))}")
+        object.__setattr__(self, "adj", _readonly(adj))
 
     @property
     def n(self) -> int:
-        return len(self.neighbors)
+        return self.adj.shape[0]
 
     def edge_set(self) -> set[tuple[int, int]]:
-        return {(i, j) for i, nbrs in enumerate(self.neighbors) for j in nbrs}
-
-    def adjacency_matrix(self) -> np.ndarray:
-        adj = np.zeros((self.n, self.n), dtype=bool)
-        for i, nbrs in enumerate(self.neighbors):
-            adj[i, list(nbrs)] = True
-        return adj
+        return {(int(i), int(j)) for i, j in np.argwhere(self.adj)}
 
     @classmethod
     def from_adjacency(cls, adj: np.ndarray) -> "SparseGraph":
-        adj = np.asarray(adj, dtype=bool)
+        """Graph of adj with any self-loops dropped."""
+        adj = np.array(adj, dtype=bool)
         np.fill_diagonal(adj, False)
-        return cls(tuple(tuple(np.flatnonzero(row)) for row in adj))
+        return cls(adj)
 
 
 def symmetrize(raw: Heatmap) -> Heatmap:
@@ -116,7 +106,6 @@ def cost_heatmap(costs: np.ndarray, invert: bool = False) -> Heatmap:
 def _force_depot_edges(adj: np.ndarray) -> None:
     adj[:, DEPOT] = True
     adj[DEPOT, :] = True
-    np.fill_diagonal(adj, False)
 
 
 def sparsify_threshold(h: Heatmap, threshold: float, vrp: bool = False) -> SparseGraph:
@@ -124,7 +113,6 @@ def sparsify_threshold(h: Heatmap, threshold: float, vrp: bool = False) -> Spars
     if not 0 <= threshold < 1:
         raise ValueError("threshold must lie in [0, 1)")
     adj = h.values >= threshold
-    np.fill_diagonal(adj, False)
     if vrp:
         _force_depot_edges(adj)
     return SparseGraph.from_adjacency(adj)

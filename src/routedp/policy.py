@@ -159,8 +159,3 @@ def visit_update(state: PotentialState, tables: PolicyTables, newly_visited: int
         new.counted[newly_visited] = False
     new.total = state.total - lost
     return new
-
-
-def score(heat_sum: float, potential_total: float) -> float:
-    """Ranking score of a partial solution (never used for cost reporting)."""
-    return heat_sum + potential_total

@@ -4,7 +4,8 @@ Candidates are flat numpy arrays; state_id identifies the DP state (set of
 visited nodes plus new current node).  Ties in all compared objectives are
 broken by a caller-supplied canonical ordering (tie_keys, minor to major),
 so the surviving set is fully deterministic and matches a naive pairwise
-oracle that uses the same tie rule.
+oracle that uses the same tie rule.  The solver calls these kernels from its
+prune layer only; expansion enumerates feasible moves and never prunes.
 """
 
 from __future__ import annotations

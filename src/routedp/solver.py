@@ -1,15 +1,18 @@
 """Beam-restricted dynamic programming over routing state spaces.
 
 One solve runs single-threaded: the beam for step t+1 is built from the
-top-B scoring non-dominated expansions of the beam at step t.  Per-step
-(parent, action) records go to a trace from which the winning solution is
-backtracked and independently re-simulated before being returned.
+top-B scoring non-dominated expansions of the beam at step t.  A step
+groups the beam by visited set, expands every entry along the sparse graph
+(feasibility only), prunes dominated candidates per DP state, selects the
+top B and builds the next beam.  Per-step (parent, action) records go to a
+trace from which the winning solution is backtracked and independently
+re-simulated before being returned.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -29,7 +32,6 @@ class SolverConfig:
     threshold: float | None = 1e-5
     knn: int | None = None
     dominance_enabled: bool = True
-    use_score_bound_prefilter: bool = False
     invert_cost_heat: bool = False
 
     def __post_init__(self) -> None:
@@ -110,19 +112,19 @@ def group_by_visited(beam: Beam) -> tuple[Beam, np.ndarray]:
 
 @dataclass
 class Candidates:
-    """Flat candidate arrays produced by one expansion step."""
+    """Flat candidate arrays of one expansion step (see _build_candidates)."""
 
     parent_pos: np.ndarray    # row in the (grouped) parent beam
     parent_slot: np.ndarray   # trace slot of the parent
     target: np.ndarray        # node being visited
-    action: np.ndarray        # encoded action value
+    action: np.ndarray        # action code (decode.py)
     state_id: np.ndarray
     cost: np.ndarray
     heat: np.ndarray
     pot: np.ndarray
     score: np.ndarray
-    extra: np.ndarray | None = None
-    is_direct: np.ndarray | None = None
+    extra: np.ndarray | None = None      # remcap (VRP) / time (TSPTW)
+    is_direct: np.ndarray | None = None  # VRP: 0 for a move via the depot
 
     def __len__(self) -> int:
         return self.cost.shape[0]
@@ -148,12 +150,11 @@ class _Context:
     def n(self) -> int:
         return self.instance.n
 
-
-def _candidate_scores(ctx: _Context, cost: np.ndarray, heat: np.ndarray,
-                      pot: np.ndarray) -> np.ndarray:
-    if ctx.config.policy.ranks_by_cost:
-        return -cost
-    return heat + pot
+    @cached_property
+    def step_heat(self) -> np.ndarray:
+        # step_heat[i, a]: heat of taking action a at node i (see decode).
+        t = self.tables
+        return t.heat if t.via_depot_heat is None else np.hstack([t.heat, t.via_depot_heat])
 
 
 def _potential_of_candidates(ctx: _Context, beam: Beam, ppos: np.ndarray,
@@ -161,10 +162,8 @@ def _potential_of_candidates(ctx: _Context, beam: Beam, ppos: np.ndarray,
     # Total potential after visiting tgt: parent total minus the target's own
     # remaining potential and minus the potential every still-counted node
     # loses from the target's incoming heat becoming unusable.
-    delta = ctx.tables.delta
-    row_loss = delta.sum(axis=1)
     return (beam.pot_total[ppos] - beam.potential[ppos, tgt]
-            - row_loss[tgt] + visited_sum[ppos, tgt])
+            - ctx.tables.delta.sum(axis=1)[tgt] + visited_sum[ppos, tgt])
 
 
 def _visited_delta_sums(ctx: _Context, beam: Beam) -> np.ndarray:
@@ -173,143 +172,75 @@ def _visited_delta_sums(ctx: _Context, beam: Beam) -> np.ndarray:
     return mask @ ctx.tables.delta[:, 1:].T
 
 
-def expand_tsp(beam: Beam, groups: np.ndarray, ctx: _Context) -> Candidates:
-    feas = ctx.adj[beam.current] & ~beam.visited
-    ppos, tgt = np.nonzero(feas)
+def _build_candidates(ctx: _Context, beam: Beam, groups: np.ndarray, ppos: np.ndarray,
+                      col: np.ndarray, extra: np.ndarray | None = None) -> Candidates:
+    """Candidates for the feasible edges (ppos[k], col[k]).
+
+    The column is the action code: a move to node col % n, via the depot
+    when col >= n (VRP only).  VRP candidates get their remaining capacity
+    as extra; the other problems pass theirs in.
+    """
+    n = ctx.n
     cur = beam.current[ppos]
-    cost = beam.cost[ppos] + ctx.costs[cur, tgt]
-    heat = beam.heat[ppos] + ctx.tables.heat[cur, tgt]
+    tgt, start, src, is_direct = col, beam.cost[ppos], cur, None
+    if ctx.instance.kind == ProblemKind.VRP:
+        via = col >= n
+        tgt = col % n
+        start = np.where(via, start + ctx.costs[cur, DEPOT], start)
+        src = np.where(via, DEPOT, cur)
+        remcap = np.where(via, float(ctx.instance.capacity), beam.extra[ppos])
+        extra = remcap - ctx.instance.demands[tgt]
+        is_direct = (~via).astype(np.int8)
+    cost = start + ctx.costs[src, tgt]
+    heat = beam.heat[ppos] + ctx.step_heat[cur, col]
     vs = _visited_delta_sums(ctx, beam)
     pot = _potential_of_candidates(ctx, beam, ppos, tgt, vs)
-    score = _candidate_scores(ctx, cost, heat, pot)
-    return Candidates(ppos, beam.slots[ppos], tgt, tgt.copy(),
-                      groups[ppos] * np.int64(ctx.n) + tgt,
-                      cost, heat, pot, score)
+    score = -cost if ctx.config.policy.ranks_by_cost else heat + pot
+    return Candidates(ppos, beam.slots[ppos], tgt, col, groups[ppos] * np.int64(n) + tgt,
+                      cost, heat, pot, score, extra, is_direct)
 
 
-def prune_tsp(cand: Candidates, groups: np.ndarray | None = None) -> Candidates:
-    # Two candidates share a DP state only if their parents share a visited
-    # set, so candidates from singleton groups survive without any check.
-    contested = _contested_mask(cand, groups)
-    if contested is None:
-        keep = prune_single_best(cand.state_id, cand.cost,
-                                 tie_keys=(cand.parent_slot, -cand.score))
-        return cand.take(np.flatnonzero(keep))
-    if not contested.any():
-        return cand
-    idx = np.flatnonzero(contested)
-    keep_sub = prune_single_best(cand.state_id[idx], cand.cost[idx],
-                                 tie_keys=(cand.parent_slot[idx], -cand.score[idx]))
-    keep = np.ones(len(cand), dtype=bool)
-    keep[idx] = keep_sub
-    return cand.take(np.flatnonzero(keep))
-
-
-def _contested_mask(cand: Candidates, groups: np.ndarray | None) -> np.ndarray | None:
-    if groups is None or len(cand) == 0:
-        return None
-    gsize = np.bincount(groups)
-    return gsize[groups[cand.parent_pos]] > 1
+def expand_tsp(beam: Beam, groups: np.ndarray, ctx: _Context) -> Candidates:
+    ppos, tgt = np.nonzero(ctx.adj[beam.current] & ~beam.visited)
+    return _build_candidates(ctx, beam, groups, ppos, tgt)
 
 
 def expand_vrp(beam: Beam, groups: np.ndarray, ctx: _Context, step: int) -> Candidates:
+    """Direct moves to customer j in column j, moves via the depot in n + j."""
     n = ctx.n
-    demands = ctx.instance.demands
-    capacity = float(ctx.instance.capacity)
     unvisited = ~beam.visited
     unvisited[:, DEPOT] = False
-    vs = _visited_delta_sums(ctx, beam)
+    feas = np.zeros((beam.width, 2 * n), dtype=bool)
+    if step > 0:  # the first move leaves the depot, so it counts as via the depot
+        fits = ctx.instance.demands[None, :] <= beam.extra[:, None]
+        feas[:, :n] = ctx.adj[beam.current] & unvisited & fits
 
-    parts: list[Candidates] = []
-
-    if step > 0:
-        feas = ctx.adj[beam.current] & unvisited & (demands[None, :] <= beam.extra[:, None])
-        ppos, tgt = np.nonzero(feas)
-        cur = beam.current[ppos]
-        cost = beam.cost[ppos] + ctx.costs[cur, tgt]
-        heat = beam.heat[ppos] + ctx.tables.heat[cur, tgt]
-        pot = _potential_of_candidates(ctx, beam, ppos, tgt, vs)
-        parts.append(Candidates(
-            ppos, beam.slots[ppos], tgt, tgt.copy(),
-            groups[ppos] * np.int64(n) + tgt,
-            cost, heat, pot, _candidate_scores(ctx, cost, heat, pot),
-            extra=beam.extra[ppos] - demands[tgt],
-            is_direct=np.ones(len(ppos), dtype=np.int8)))
-
-    # Via-depot moves: per visited-set group, only parents with the cheapest
-    # return to the depot can yield non-dominated via-depot expansions.
-    ret = beam.cost + ctx.costs[beam.current, DEPOT]
-    at_depot = beam.current == DEPOT
-    has_ret = at_depot | ctx.adj[beam.current, DEPOT]
-    ret_masked = np.where(has_ret, ret, np.inf)
-    ngroups = int(groups[-1]) + 1 if beam.width else 0
-    group_starts = np.searchsorted(groups, np.arange(ngroups))
-    group_min = np.minimum.reduceat(ret_masked, group_starts)
+    # Per visited-set group, only parents with the cheapest return to the
+    # depot can yield non-dominated via-depot moves: all of them then share
+    # the state's remaining capacity.  This filter applies whatever
+    # dominance_enabled is set to.
+    has_ret = (beam.current == DEPOT) | ctx.adj[beam.current, DEPOT]
+    ret = np.where(has_ret, beam.cost + ctx.costs[beam.current, DEPOT], np.inf)
+    group_starts = np.searchsorted(groups, np.arange(groups[-1] + 1))
+    group_min = np.minimum.reduceat(ret, group_starts)
     eligible = has_ret & (ret == group_min[groups])
-
-    feas_via = np.zeros((beam.width, n), dtype=bool)
-    feas_via[eligible] = ctx.adj[DEPOT][None, :] & unvisited[eligible]
-    ppos, tgt = np.nonzero(feas_via)
-    cur = beam.current[ppos]
-    cost = ret[ppos] + ctx.costs[DEPOT, tgt]
-    heat = beam.heat[ppos] + ctx.tables.via_depot_heat[cur, tgt]
-    pot = _potential_of_candidates(ctx, beam, ppos, tgt, vs)
-    via = Candidates(
-        ppos, beam.slots[ppos], tgt, tgt + n,
-        groups[ppos] * np.int64(n) + tgt,
-        cost, heat, pot, _candidate_scores(ctx, cost, heat, pot),
-        extra=np.full(len(ppos), capacity) - demands[tgt],
-        is_direct=np.zeros(len(ppos), dtype=np.int8))
-    # Stage 1: a single surviving via-depot candidate per DP state.
-    keep = prune_single_best(via.state_id, via.cost,
-                             tie_keys=(via.parent_slot, -via.score))
-    parts.append(via.take(np.flatnonzero(keep)))
-
-    return _concat(parts)
-
-
-def prune_capacity_time(cand: Candidates, objective: np.ndarray,
-                        groups: np.ndarray | None = None) -> Candidates:
-    """Stage 2: exact Pareto front per state, objective maximized.
-
-    For TSPTW pass negated time and the parent group ids (singleton groups
-    cannot collide); for VRP direct and via-depot moves from one parent do
-    share states, so all candidates are checked.
-    """
-    contested = _contested_mask(cand, groups)
-    if contested is not None and not contested.any():
-        return cand
-
-    def front(c: Candidates, obj: np.ndarray) -> np.ndarray:
-        tie: tuple[np.ndarray, ...] = (c.action, c.parent_slot, -c.score)
-        if c.is_direct is not None:
-            tie = tie + (c.is_direct,)
-        return prune_pareto_front(c.state_id, c.cost, obj, tie_keys=tie)
-
-    if contested is None:
-        return cand.take(np.flatnonzero(front(cand, objective)))
-    idx = np.flatnonzero(contested)
-    keep = np.ones(len(cand), dtype=bool)
-    keep[idx] = front(cand.take(idx), objective[idx])
-    return cand.take(np.flatnonzero(keep))
+    feas[eligible, n:] = ctx.adj[DEPOT] & unvisited[eligible]
+    ppos, col = np.nonzero(feas)
+    return _build_candidates(ctx, beam, groups, ppos, col)
 
 
 def expand_tsptw(beam: Beam, groups: np.ndarray, ctx: _Context) -> Candidates:
     n = ctx.n
-    tw = ctx.instance.time_windows
-    lo, hi = tw[:, 0], tw[:, 1]
-    feas = ctx.adj[beam.current] & ~beam.visited
-    ppos, tgt = np.nonzero(feas)
-    cur = beam.current[ppos]
-    arrive = np.maximum(beam.extra[ppos] + ctx.costs[cur, tgt], lo[tgt])
+    lo, hi = ctx.instance.time_windows.T
+    ppos, tgt = np.nonzero(ctx.adj[beam.current] & ~beam.visited)
+    arrive = np.maximum(beam.extra[ppos] + ctx.costs[beam.current[ppos], tgt], lo[tgt])
     ok = arrive <= hi[tgt]
 
     # One-step lookahead: arriving at v at time tau must leave every other
     # unvisited node j reachable before its deadline (tau + c_vj <= u_j).
     slack = hi[None, :] - ctx.costs            # slack[v, j] = u_j - c_vj
-    ngroups = int(groups[-1]) + 1 if beam.width else 0
-    group_rows = np.searchsorted(groups, np.arange(ngroups))
-    latest = np.full((ngroups, n), np.inf)
+    group_rows = np.searchsorted(groups, np.arange(groups[-1] + 1))
+    latest = np.full((group_rows.size, n), np.inf)
     for g, row in enumerate(group_rows):
         cols = np.flatnonzero(~beam.visited[row])
         if cols.size == 0:
@@ -320,35 +251,48 @@ def expand_tsptw(beam: Beam, groups: np.ndarray, ctx: _Context) -> Candidates:
     ok &= arrive <= latest[groups[ppos], tgt]
 
     idx = np.flatnonzero(ok)
-    ppos, tgt, arrive = ppos[idx], tgt[idx], arrive[idx]
-    cur = beam.current[ppos]
-    cost = beam.cost[ppos] + ctx.costs[cur, tgt]
-    heat = beam.heat[ppos] + ctx.tables.heat[cur, tgt]
-    vs = _visited_delta_sums(ctx, beam)
-    pot = _potential_of_candidates(ctx, beam, ppos, tgt, vs)
-    return Candidates(ppos, beam.slots[ppos], tgt, tgt.copy(),
-                      groups[ppos] * np.int64(n) + tgt,
-                      cost, heat, pot, _candidate_scores(ctx, cost, heat, pot),
-                      extra=arrive)
+    return _build_candidates(ctx, beam, groups, ppos[idx], tgt[idx], extra=arrive[idx])
 
 
-def _concat(parts: list[Candidates]) -> Candidates:
-    parts = [p for p in parts if len(p)]
-    if not parts:
-        empty = np.empty(0)
-        eint = np.empty(0, dtype=np.int64)
-        return Candidates(eint, eint, eint, eint, eint, empty, empty, empty, empty)
-    if len(parts) == 1:
-        return parts[0]
-    cat = np.concatenate
-    return Candidates(
-        cat([p.parent_pos for p in parts]), cat([p.parent_slot for p in parts]),
-        cat([p.target for p in parts]), cat([p.action for p in parts]),
-        cat([p.state_id for p in parts]), cat([p.cost for p in parts]),
-        cat([p.heat for p in parts]), cat([p.pot for p in parts]),
-        cat([p.score for p in parts]),
-        None if parts[0].extra is None else cat([p.extra for p in parts]),
-        None if parts[0].is_direct is None else cat([p.is_direct for p in parts]))
+def _prune_contested(cand: Candidates, groups: np.ndarray | None, kernel) -> Candidates:
+    """Survivors of kernel, a keep-mask function of candidate indices.
+
+    Two candidates share a DP state only if their parents share a visited
+    set, so when groups are given, candidates from singleton groups survive
+    without reaching the kernel.
+    """
+    if groups is None:
+        return cand.take(np.flatnonzero(kernel(slice(None))))
+    idx = np.flatnonzero(np.bincount(groups)[groups[cand.parent_pos]] > 1)
+    if idx.size == 0:
+        return cand
+    keep = np.ones(len(cand), dtype=bool)
+    keep[idx] = kernel(idx)
+    return cand.take(np.flatnonzero(keep))
+
+
+def prune_tsp(cand: Candidates, groups: np.ndarray | None = None) -> Candidates:
+    """One minimum-cost candidate per DP state; exact ties go to the higher
+    score, then the lower parent slot."""
+    return _prune_contested(cand, groups, lambda i: prune_single_best(
+        cand.state_id[i], cand.cost[i], tie_keys=(cand.parent_slot[i], -cand.score[i])))
+
+
+def prune_capacity_time(cand: Candidates, objective: np.ndarray,
+                        groups: np.ndarray | None = None) -> Candidates:
+    """Exact Pareto front per DP state over cost (min) and objective (max).
+
+    For VRP pass the remaining capacity and no groups: direct and via-depot
+    moves from one parent share states.  For TSPTW pass negated time and the
+    parent groups.  Exact ties go to via-depot moves first, then the higher
+    score, the lower parent slot and the lower action.
+    """
+    def kernel(i) -> np.ndarray:
+        tie = (cand.action[i], cand.parent_slot[i], -cand.score[i])
+        if cand.is_direct is not None:
+            tie += (cand.is_direct[i],)
+        return prune_pareto_front(cand.state_id[i], cand.cost[i], objective[i], tie_keys=tie)
+    return _prune_contested(cand, groups, kernel)
 
 
 def select_top_b(cand: Candidates, beam_size: int) -> Candidates:
@@ -357,24 +301,19 @@ def select_top_b(cand: Candidates, beam_size: int) -> Candidates:
     The order is score desc, cost asc, current (target) asc, parent slot
     asc, action asc; survivors are returned in that order.
     """
-    m = len(cand)
-    if m > beam_size:
+    sel = np.arange(len(cand))
+    if len(cand) > beam_size:
         neg = -cand.score
         kth = np.partition(neg, beam_size - 1)[beam_size - 1]
+        # At most beam_size - 1 scores beat the kth; ties at kth fill the rest.
         sure = np.flatnonzero(neg < kth)
-        need = beam_size - sure.size
         ties = np.flatnonzero(neg == kth)
-        if need > 0:
-            t_order = np.lexsort((cand.action[ties], cand.parent_slot[ties],
-                                  cand.target[ties], cand.cost[ties]))
-            ties = ties[t_order[:need]]
-            sel = np.concatenate([sure, ties])
-        else:
-            sel = sure
-        cand = cand.take(sel)
-    order = np.lexsort((cand.action, cand.parent_slot, cand.target,
-                        cand.cost, -cand.score))
-    return cand.take(order)
+        t_order = np.lexsort((cand.action[ties], cand.parent_slot[ties],
+                              cand.target[ties], cand.cost[ties]))
+        sel = np.concatenate([sure, ties[t_order[:beam_size - sure.size]]])
+    order = np.lexsort((cand.action[sel], cand.parent_slot[sel], cand.target[sel],
+                        cand.cost[sel], -cand.score[sel]))
+    return cand.take(sel[order])
 
 
 def backtrack(trace: list[tuple[np.ndarray, np.ndarray]], winning_slot: int) -> list[int]:
@@ -412,13 +351,12 @@ def _init_beam(ctx: _Context) -> Beam:
 
 
 def _next_beam(ctx: _Context, beam: Beam, cand: Candidates) -> Beam:
-    n = ctx.n
-    visited = beam.visited[cand.parent_pos].copy()
+    # cand holds fresh arrays from select_top_b, so the beam takes them over.
+    visited = beam.visited[cand.parent_pos]
     visited[np.arange(len(cand)), cand.target] = True
     potential = beam.potential[cand.parent_pos] - ctx.tables.delta[cand.target]
-    return Beam(cand.cost.copy(), cand.target.astype(np.int64), cand.heat.copy(),
-                cand.pot.copy(), cand.score.copy(), visited, pack_visited(visited),
-                potential, None if cand.extra is None else cand.extra.copy(),
+    return Beam(cand.cost, cand.target, cand.heat, cand.pot, cand.score, visited,
+                pack_visited(visited), potential, cand.extra,
                 np.arange(len(cand), dtype=np.int64))
 
 
@@ -467,7 +405,7 @@ def solve(
         graph = build_graph(instance, heatmap, config)
     tables = build_policy_tables(eff, costs, kind,
                                  use_potential=config.policy.uses_potential)
-    ctx = _Context(instance, costs, graph.adjacency_matrix(), tables, config)
+    ctx = _Context(instance, costs, graph.adj, tables, config)
 
     beam = _init_beam(ctx)
     trace: list[tuple[np.ndarray, np.ndarray]] = []
@@ -486,10 +424,6 @@ def solve(
             return SolveResult(None, failed_at_step=step, steps=step,
                                max_beam_width=max_width)
 
-        if config.use_score_bound_prefilter and len(cand) > config.beam_size:
-            bound = np.partition(-cand.score, config.beam_size - 1)[config.beam_size - 1]
-            cand = cand.take(np.flatnonzero(-cand.score <= bound))
-
         if config.dominance_enabled:
             if kind == ProblemKind.TSP:
                 cand = prune_tsp(cand, groups)
@@ -499,7 +433,7 @@ def solve(
                 cand = prune_capacity_time(cand, -cand.extra, groups)
 
         cand = select_top_b(cand, config.beam_size)
-        trace.append((cand.parent_slot.copy(), cand.action.copy()))
+        trace.append((cand.parent_slot, cand.action))
         beam = _next_beam(ctx, beam, cand)
         max_width = max(max_width, beam.width)
 

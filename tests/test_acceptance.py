@@ -154,8 +154,7 @@ def test_05_beam_monotonicity():
     for seed in range(100):
         inst = generate_tsp(50, seed=seed)
         for j, b in enumerate(beams):
-            cfg = SolverConfig(beam_size=b, policy=Policy.COST_HEAT_POTENTIAL,
-                               use_score_bound_prefilter=False)
+            cfg = SolverConfig(beam_size=b, policy=Policy.COST_HEAT_POTENTIAL)
             costs[seed, j] = solve(inst, cfg).solution.cost
     means = costs.mean(axis=0)
     rises = [f"B={beams[j]}->{beams[j + 1]}" for j in range(len(beams) - 1)
@@ -242,8 +241,7 @@ def test_09_returned_solutions_survive_resimulation():
         SolverConfig(beam_size=50, policy=Policy.HEAT_POTENTIAL),
         SolverConfig(beam_size=50, policy=Policy.COST_HEAT, threshold=0.0),
         SolverConfig(beam_size=50, policy=Policy.COST, dominance_enabled=False),
-        SolverConfig(beam_size=50, policy=Policy.COST_HEAT_POTENTIAL,
-                     use_score_bound_prefilter=True),
+        SolverConfig(beam_size=50, policy=Policy.COST_HEAT_POTENTIAL),
     ]
     for inst, _ in cases:
         for cfg in configs:
@@ -309,17 +307,3 @@ def test_11_sparsification_sanity():
     report("sparsification sanity", mismatches == 0 and nested == 100,
            f"complete-graph cost reproduced on 10/10 instances "
            f"(threshold 0 and knn = n-1); threshold monotone on {nested}/100 heatmaps")
-
-
-def test_12_prefilter_drift_measurement():
-    """Informational: the score-bound prefilter may interact with dominance
-    and change results; this measures the drift without asserting on it."""
-    drift = []
-    for seed in range(10):
-        inst = generate_tsp(50, seed=seed)
-        base = SolverConfig(beam_size=1000, policy=Policy.COST_HEAT_POTENTIAL)
-        pre = SolverConfig(beam_size=1000, policy=Policy.COST_HEAT_POTENTIAL,
-                           use_score_bound_prefilter=True)
-        drift.append(solve(inst, pre).solution.cost - solve(inst, base).solution.cost)
-    print(f"INFO  score-bound prefilter mean cost drift: {np.mean(drift):+.6f} "
-          f"(max {np.max(np.abs(drift)):.6f}) over 10 instances")

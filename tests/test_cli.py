@@ -1,8 +1,10 @@
 import json
 
+import numpy as np
 import pytest
 
 from routedp import generate_tsp, read_instance, replay, write_instance
+from routedp import cli
 from routedp.cli import main
 
 
@@ -114,6 +116,25 @@ class TestSolveCommand:
         assert rc == 2
         assert "error" in capsys.readouterr().err
 
+    def test_engine_error_becomes_error_row(self, tmp_path, monkeypatch):
+        d = write_tsp_dir(tmp_path, count=3)
+        real_solve = cli.solve
+        bad = read_instance(d / "tsp8_0001.json")
+
+        def failing_solve(instance, config, heatmap=None):
+            if np.array_equal(instance.coords, bad.coords):
+                raise RuntimeError("internal error: injected")
+            return real_solve(instance, config, heatmap=heatmap)
+
+        monkeypatch.setattr(cli, "solve", failing_solve)
+        out = tmp_path / "out"
+        rc = main(["solve", "--problem", "tsp", "--instances", str(d),
+                   "--beam-size", "8", "--out", str(out)])
+        assert rc == 1
+        errors = {r["instance"]: r["error"] for r in read_report(out)}
+        assert errors == {"tsp8_0000": "", "tsp8_0001": "internal error: injected",
+                          "tsp8_0002": ""}
+
 
 class TestGenerateCommand:
     def test_count_and_determinism(self, tmp_path, capsys):
@@ -188,3 +209,11 @@ class TestBenchCommand:
         assert len(rows) == 4  # two comparable rows per instance
         assert sum("dom=on" in r for r in rows) == 2
         assert sum("dom=off" in r for r in rows) == 2
+
+    def test_directory_without_instances_exit_2(self, tmp_path, capsys):
+        d = tmp_path / "empty"
+        d.mkdir()
+        rc = main(["bench", "--problem", "tsp", "--instances", str(d),
+                   "--beam-sizes", "4", "--out", str(tmp_path / "bench")])
+        assert rc == 2
+        assert "no .json instance files" in capsys.readouterr().err

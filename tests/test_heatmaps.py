@@ -138,7 +138,7 @@ class TestKnnSparsification:
         # 0 and 3 pick their only neighbors; 1 and 2 break the distance tie
         # toward the lower index; all picked edges are made bidirectional.
         assert g.edge_set() == {(0, 1), (1, 0), (1, 2), (2, 1), (2, 3), (3, 2)}
-        assert all(len(nbrs) >= 1 for nbrs in g.neighbors)
+        assert g.adj.any(axis=1).all()
 
     def test_vrp_forces_depot_edges(self):
         coords = np.random.default_rng(7).random((8, 2))
@@ -160,11 +160,19 @@ class TestSparseGraph:
         adj = rng.random((6, 6)) < 0.4
         np.fill_diagonal(adj, False)
         g = SparseGraph.from_adjacency(adj)
-        assert np.array_equal(g.adjacency_matrix(), adj)
+        assert np.array_equal(g.adj, adj)
+        assert not g.adj.flags.writeable
 
     def test_rejects_self_loop(self):
-        with pytest.raises(ValueError, match="self-loop"):
-            SparseGraph(((0,), ()))
+        adj = np.zeros((3, 3), dtype=bool)
+        adj[1, 1] = True
+        with pytest.raises(ValueError, match="self-loop at node 1"):
+            SparseGraph(adj)
+        assert not SparseGraph.from_adjacency(adj).adj.any()
+
+    def test_rejects_non_square_adjacency(self):
+        with pytest.raises(ValueError, match="square"):
+            SparseGraph(np.zeros((2, 3), dtype=bool))
 
 
 class TestHeatmapIO:

@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 
 from routedp import (Heatmap, Policy, ProblemKind, build_policy_tables,
-                     euclidean_cost_matrix, initial_potential, score,
-                     visit_update)
+                     euclidean_cost_matrix, initial_potential, visit_update)
 from routedp.policy import VIA_DEPOT_HEAT_PENALTY
 
 
@@ -176,14 +175,3 @@ class TestVisitUpdate:
         before = pot.p.copy()
         visit_update(pot, t, 1)
         np.testing.assert_array_equal(pot.p, before)
-
-
-class TestScore:
-    def test_zero_heat_returns_potential(self):
-        assert score(0.0, 3.25) == 3.25
-
-    def test_zero_potential_returns_heat(self):
-        assert score(2.5, 0.0) == 2.5
-
-    def test_monotone_in_heat(self):
-        assert score(2.0, 1.0) > score(1.5, 1.0)

@@ -3,13 +3,15 @@ import math
 import numpy as np
 import pytest
 
+from helpers import naive_pareto
 from routedp import (DEPOT, Heatmap, Policy, ProblemKind, SolverConfig,
                      SparseGraph, brute_force, generate_tsp, generate_tsptw,
                      generate_vrp, replay, solve)
 from routedp.instances import Instance
 from routedp.solver import (Beam, Candidates, _Context, _init_beam, expand_tsp,
-                            group_by_visited, pack_visited, prune_tsp,
-                            select_top_b, build_graph, effective_heatmap)
+                            expand_vrp, group_by_visited, pack_visited,
+                            prune_capacity_time, prune_tsp, select_top_b,
+                            build_graph, effective_heatmap)
 from routedp.policy import build_policy_tables
 from routedp.heatmaps import cost_heatmap, symmetrize
 
@@ -22,7 +24,7 @@ def make_context(instance, config=None):
     graph = build_graph(instance, None, config)
     tables = build_policy_tables(eff, costs, instance.kind,
                                  use_potential=config.policy.uses_potential)
-    return _Context(instance, costs, graph.adjacency_matrix(), tables, config)
+    return _Context(instance, costs, graph.adj, tables, config)
 
 
 def beam_from_rows(ctx, rows):
@@ -119,10 +121,38 @@ class TestExpansion:
         config = SolverConfig(beam_size=4, policy=Policy.COST_HEAT_POTENTIAL,
                               threshold=0.0)
         ctx = make_context(inst, config)
+        ctx.adj = ctx.adj.copy()  # the graph's own adjacency is read-only
         ctx.adj[1, :] = False  # node 1 has no outgoing edges
         rows = [({0, 1}, 1, 1.0)]
         beam, groups = group_by_visited(beam_from_rows(ctx, rows))
         assert len(expand_tsp(beam, groups, ctx)) == 0
+
+    def test_vrp_via_depot_ties_pruned_to_pairwise_front(self):
+        # Parents at nodes 1 and 2 share a visited set and return to the
+        # depot at exactly equal cost, so their via-depot moves to each target
+        # tie in cost and capacity; direct moves reach the same states.  The
+        # prune layer alone must leave the pairwise front.
+        coords = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [2.0, 2.0], [3.0, 0.0]])
+        inst = Instance(ProblemKind.VRP, coords,
+                        demands=np.array([0.0, 2.0, 2.0, 3.0, 1.0]), capacity=10.0)
+        ctx = make_context(inst)
+        assert ctx.costs[1, DEPOT] == ctx.costs[2, DEPOT]
+        beam = beam_from_rows(ctx, [({1, 2}, 1, 5.0), ({1, 2}, 2, 5.0), ({1}, 1, 1.0)])
+        beam.extra = np.array([6.0, 4.0, 8.0])
+        beam, groups = group_by_visited(beam)
+        cand = expand_vrp(beam, groups, ctx, step=2)
+        via_states = cand.state_id[cand.is_direct == 0]
+        assert len(set(via_states.tolist())) < via_states.size
+        shared = set(via_states.tolist()) & set(cand.state_id[cand.is_direct == 1].tolist())
+        assert shared
+
+        kept = prune_capacity_time(cand, cand.extra)
+        want = naive_pareto(cand.state_id, cand.cost, cand.extra, cand.action,
+                            cand.parent_slot, cand.score, cand.is_direct)
+        assert (sorted(zip(kept.parent_slot.tolist(), kept.action.tolist()))
+                == sorted(zip(cand.parent_slot[want].tolist(), cand.action[want].tolist())))
+        kept_via = kept.state_id[kept.is_direct == 0]
+        assert sorted(kept_via.tolist()) == sorted(set(via_states.tolist()))
 
 
 class TestSelection:
@@ -232,13 +262,6 @@ class TestSolveTSP:
     def test_dominance_off_still_valid(self):
         inst = generate_tsp(12, seed=12)
         res = solve(inst, SolverConfig(beam_size=32, dominance_enabled=False,
-                                       policy=Policy.COST_HEAT_POTENTIAL))
-        assert res.found
-        assert replay(inst, res.solution.actions).feasible
-
-    def test_prefilter_preserves_feasibility(self):
-        inst = generate_tsp(20, seed=13)
-        res = solve(inst, SolverConfig(beam_size=16, use_score_bound_prefilter=True,
                                        policy=Policy.COST_HEAT_POTENTIAL))
         assert res.found
         assert replay(inst, res.solution.actions).feasible
