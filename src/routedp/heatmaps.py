@@ -36,8 +36,8 @@ class Heatmap:
         v = np.asarray(self.values, dtype=float)
         if v.ndim != 2 or v.shape[0] != v.shape[1]:
             raise ValueError("heatmap must be a square matrix")
-        if np.any(v < 0) or np.any(v >= 1):
-            raise ValueError("heat values must lie in [0, 1)")
+        if not np.all((v >= 0) & (v < 1)):
+            raise ValueError("heat values must be finite and lie in [0, 1)")
         if np.any(np.diag(v) != 0):
             raise ValueError("heatmap diagonal must be zero")
         if not self.directed and not np.array_equal(v, v.T):
@@ -182,7 +182,7 @@ def read_heatmap(path: str | Path, n: int) -> Heatmap:
                 raise HeatmapFormatError(f"{path}: line {lineno}: index out of range")
             values[i, j] = v
 
-    bad = (values < 0) | (values > 1)
+    bad = ~((values >= 0) & (values <= 1))
     if np.any(bad):
         i, j = np.argwhere(bad)[0]
         raise HeatmapFormatError(

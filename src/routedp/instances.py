@@ -56,6 +56,8 @@ class Instance:
         coords = np.asarray(self.coords, dtype=float)
         if coords.ndim != 2 or coords.shape[1] != 2 or coords.shape[0] < 2:
             raise ValueError("coords must have shape (n, 2) with n >= 2")
+        if not np.all(np.isfinite(coords)):
+            raise ValueError("coords must be finite")
         object.__setattr__(self, "coords", _readonly(coords))
         n = coords.shape[0]
 
@@ -67,8 +69,10 @@ class Instance:
                 raise ValueError(f"demands must have length {n}, got {demands.shape}")
             if demands[DEPOT] != 0:
                 raise ValueError("depot demand must be 0")
-            if self.capacity <= 0:
-                raise ValueError("capacity must be positive")
+            if not np.all(np.isfinite(demands)):
+                raise ValueError("demands must be finite")
+            if not (math.isfinite(self.capacity) and self.capacity > 0):
+                raise ValueError("capacity must be finite and positive")
             if np.any(demands[1:] <= 0) or np.any(demands[1:] > self.capacity):
                 raise ValueError("customer demands must satisfy 0 < d_i <= capacity")
             object.__setattr__(self, "demands", _readonly(demands))
@@ -82,6 +86,10 @@ class Instance:
                 tw = np.asarray(self.time_windows, dtype=float)
             if tw.shape != (n, 2):
                 raise ValueError(f"time_windows must have shape ({n}, 2)")
+            bad = np.isnan(tw[:, 1]) | ~np.isfinite(tw[:, 0])
+            if np.any(bad):
+                raise ValueError(f"time window of node {int(np.argmax(bad))} has a non-finite "
+                                 "lower bound or a NaN upper bound")
             if np.any(tw[:, 0] > tw[:, 1]):
                 bad = int(np.argmax(tw[:, 0] > tw[:, 1]))
                 raise ValueError(f"time window of node {bad} has l > u")

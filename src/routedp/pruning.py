@@ -1,22 +1,59 @@
 """Vectorized per-state dominance pruning for expansion candidates.
 
 Candidates are flat numpy arrays; state_id identifies the DP state (set of
-visited nodes plus new current node).  Ties in all compared objectives are
-broken by a caller-supplied canonical ordering (tie_keys, minor to major),
-so the surviving set is fully deterministic and matches a naive pairwise
-oracle that uses the same tie rule.  The solver calls these kernels from its
-prune layer only; expansion enumerates feasible moves and never prunes.
+visited nodes plus new current node).  Each kernel orders its candidates with
+one argsort over an int64 key that folds the dense rank of each major key
+(cost, then -objective) into the state id.  Only rows whose keys tie exactly
+are then reordered by a caller-supplied canonical ordering (tie_keys, minor
+to major; the earliest row first on a full tie), so the surviving set is
+fully deterministic and matches a naive pairwise oracle that uses the same
+tie rule.  The solver calls these kernels from its prune layer only.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+# Folded keys stay below this bound, so key * k + rank never overflows int64.
+_KEY_LIMIT = 1 << 62
 
-def _sort(state_id: np.ndarray, majors: tuple[np.ndarray, ...],
-          tie_keys: tuple[np.ndarray, ...]) -> np.ndarray:
-    # np.lexsort: last key is the primary one.
-    return np.lexsort(tuple(tie_keys) + tuple(reversed(majors)) + (state_id,))
+
+def _dense_rank(x: np.ndarray) -> tuple[np.ndarray, int]:
+    """Ranks 0..k-1 with equal values sharing a rank, and k."""
+    o = np.argsort(x)
+    xs = x[o]
+    step = np.cumsum(np.concatenate(([0], xs[1:] != xs[:-1])), dtype=np.int64)
+    rank = np.empty_like(step)
+    rank[o] = step
+    return rank, int(step[-1]) + 1
+
+
+def _order(state_id: np.ndarray, majors: tuple[np.ndarray, ...],
+           tie_keys: tuple[np.ndarray, ...]) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Row order by (state, *majors, *reversed(tie_keys), row index) and the
+    dense ranks of the majors."""
+    key = np.asarray(state_id, dtype=np.int64)
+    ranks = []
+    for x in majors:
+        rank, k = _dense_rank(x)
+        if key.min() < 0 or key.max() >= _KEY_LIMIT // k:
+            key = _dense_rank(key)[0]
+        key = key * k + rank
+        ranks.append(rank)
+    order = np.argsort(key)
+    ks = key[order]
+    eq = np.flatnonzero(ks[1:] == ks[:-1])
+    if eq.size:
+        # Exact ties: only these rows go through lexsort, starting from row
+        # order so that a full tie keeps the earliest row first.
+        tied = np.union1d(eq, eq + 1)
+        rows = np.sort(order[tied])
+        order[tied] = rows[np.lexsort(tuple(t[rows] for t in tie_keys) + (key[rows],))]
+    return order, ranks
+
+
+def _state_starts(s: np.ndarray) -> np.ndarray:
+    return np.concatenate(([True], s[1:] != s[:-1]))
 
 
 def prune_single_best(
@@ -28,26 +65,10 @@ def prune_single_best(
 
     Returns a boolean keep-mask over the candidates.
     """
-    m = state_id.shape[0]
-    keep = np.zeros(m, dtype=bool)
-    if m == 0:
-        return keep
-    # Fast path: sort on (state, cost) only; the canonical tie keys matter
-    # only when a state's minimum cost is attained more than once.
-    order = np.lexsort((cost, state_id))
-    s = state_id[order]
-    first = np.empty(m, dtype=bool)
-    first[0] = True
-    first[1:] = s[1:] != s[:-1]
-    winners = np.flatnonzero(first)
-    runner_up = winners[winners < m - 1] + 1
-    c = cost[order]
-    tied = (s[runner_up] == s[runner_up - 1]) & (c[runner_up] == c[runner_up - 1])
-    if tied.any() and tie_keys:
-        order = _sort(state_id, (cost,), tie_keys)
-        s = state_id[order]
-        first[1:] = s[1:] != s[:-1]
-    keep[order[first]] = True
+    keep = np.zeros(state_id.shape[0], dtype=bool)
+    if keep.size:
+        order, _ = _order(state_id, (cost,), tie_keys)
+        keep[order[_state_starts(state_id[order])]] = True
     return keep
 
 
@@ -65,28 +86,14 @@ def prune_pareto_front(
     cumulative-max formulation), which with the canonical tie order yields
     exactly the pairwise non-dominated set with one survivor per exact tie.
     """
-    m = state_id.shape[0]
-    keep = np.zeros(m, dtype=bool)
-    if m == 0:
+    keep = np.zeros(state_id.shape[0], dtype=bool)
+    if keep.size == 0:
         return keep
-    order = _sort(state_id, (cost, -objective), tie_keys)
-    s = state_id[order]
-    obj = objective[order]
-
-    # Dense-rank objective values so equal values share a rank, then fold the
-    # state ordinal into one integer key: a running maximum over the combined
-    # key restarts automatically at each state boundary.
-    uniq = np.unique(obj)
-    obj_rank = np.searchsorted(uniq, obj)
-    first = np.empty(m, dtype=bool)
-    first[0] = True
-    first[1:] = s[1:] != s[:-1]
-    group_ord = np.cumsum(first) - 1
-    key = group_ord * np.int64(len(uniq) + 1) + obj_rank
-
-    running = np.maximum.accumulate(key)
-    kept_sorted = np.empty(m, dtype=bool)
-    kept_sorted[0] = True
-    kept_sorted[1:] = key[1:] > running[:-1]
-    keep[order[kept_sorted]] = True
+    order, (_, neg_rank) = _order(state_id, (cost, -objective), tie_keys)
+    # The objective's rank sits below the state ordinal, so a running
+    # maximum over the combined key restarts at each state boundary.
+    k = int(neg_rank.max()) + 1
+    key = (np.cumsum(_state_starts(state_id[order])) - 1) * k + (k - 1 - neg_rank[order])
+    kept = np.concatenate(([True], key[1:] > np.maximum.accumulate(key)[:-1]))
+    keep[order[kept]] = True
     return keep

@@ -403,6 +403,8 @@ def solve(
     eff = effective_heatmap(instance, heatmap, config)
     if graph is None:
         graph = build_graph(instance, heatmap, config)
+    elif graph.n != n:
+        raise ValueError(f"graph has {graph.n} nodes but the instance has {n}")
     tables = build_policy_tables(eff, costs, kind,
                                  use_potential=config.policy.uses_potential)
     ctx = _Context(instance, costs, graph.adj, tables, config)

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -27,6 +29,14 @@ class TestHeatmapType:
         v[0, 1] = v[1, 0] = -0.1
         with pytest.raises(ValueError):
             Heatmap(v)
+
+    @pytest.mark.parametrize("directed", [False, True])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_rejects_non_finite_values(self, directed, bad):
+        v = np.zeros((3, 3))
+        v[0, 1] = v[1, 0] = bad
+        with pytest.raises(ValueError, match="finite"):
+            Heatmap(v, directed=directed)
 
     def test_rejects_nonzero_diagonal(self):
         v = np.eye(3) * 0.5
@@ -205,6 +215,13 @@ class TestHeatmapIO:
         path = tmp_path / "h.heat"
         path.write_text("sparse 3\n0 2 1.3\n")
         with pytest.raises(HeatmapFormatError, match=r"\(0, 2\) = 1.3"):
+            read_heatmap(path, 3)
+
+    @pytest.mark.parametrize("header", ["sparse 3", "sparse 3 directed"])
+    def test_nan_value_names_entry(self, tmp_path, header):
+        path = tmp_path / "h.heat"
+        path.write_text(f"{header}\n0 2 nan\n2 0 nan\n")
+        with pytest.raises(HeatmapFormatError, match=r"\(0, 2\) = nan"):
             read_heatmap(path, 3)
 
     def test_dimension_mismatch_rejected(self, tmp_path):

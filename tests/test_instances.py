@@ -109,6 +109,37 @@ class TestValidation:
         with pytest.raises(ValueError, match="node 1"):
             Instance(ProblemKind.TSPTW, np.arange(6.0).reshape(3, 2), time_windows=tw)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_coords_rejected(self, bad):
+        coords = np.arange(6.0).reshape(3, 2)
+        coords[1, 0] = bad
+        with pytest.raises(ValueError, match="coords must be finite"):
+            Instance(ProblemKind.TSP, coords)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_demand_rejected(self, bad):
+        with pytest.raises(ValueError, match="demands must be finite"):
+            Instance(ProblemKind.VRP, np.arange(6.0).reshape(3, 2),
+                     demands=np.array([0.0, bad, 2.0]), capacity=5.0)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_capacity_rejected(self, bad):
+        with pytest.raises(ValueError, match="capacity must be finite"):
+            Instance(ProblemKind.VRP, np.arange(6.0).reshape(3, 2),
+                     demands=np.array([0.0, 1.0, 2.0]), capacity=bad)
+
+    @pytest.mark.parametrize("window", [(math.nan, 9.0), (1.0, math.nan),
+                                        (math.inf, math.inf), (-math.inf, 9.0)])
+    def test_nan_or_infinite_lower_window_rejected(self, window):
+        tw = np.array([[0.0, math.inf], window, [0.0, 9.0]])
+        with pytest.raises(ValueError, match="node 1 has a non-finite lower bound"):
+            Instance(ProblemKind.TSPTW, np.arange(6.0).reshape(3, 2), time_windows=tw)
+
+    def test_infinite_upper_window_accepted(self):
+        tw = np.array([[0.0, math.inf], [1.0, math.inf], [0.0, 9.0]])
+        inst = Instance(ProblemKind.TSPTW, np.arange(6.0).reshape(3, 2), time_windows=tw)
+        assert math.isinf(inst.time_windows[1, 1])
+
     def test_tsp_rejects_extra_fields(self):
         with pytest.raises(ValueError):
             Instance(ProblemKind.TSP, np.arange(6.0).reshape(3, 2), capacity=5.0)
@@ -142,6 +173,12 @@ class TestInstanceIO:
         path = tmp_path / "bad.json"
         path.write_text('{"problem": "vrp", "coords": [[0,0],[1,1]], "demands": [0,1]}')
         with pytest.raises(InstanceFormatError, match="capacity"):
+            read_instance(path)
+
+    def test_nan_coordinate_is_reported(self, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_text('{"problem": "tsp", "coords": [[0, 0], [NaN, 1], [2, 2]]}')
+        with pytest.raises(InstanceFormatError, match="coords must be finite"):
             read_instance(path)
 
     def test_inverted_window_is_reported(self, tmp_path):

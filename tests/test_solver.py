@@ -239,6 +239,13 @@ class TestSolveTSP:
             solve(inst, SolverConfig(beam_size=4, policy=Policy.HEAT_POTENTIAL),
                   heatmap=Heatmap(v))
 
+    @pytest.mark.parametrize("graph_n", [5, 12])
+    def test_graph_size_mismatch(self, graph_n):
+        inst = generate_tsp(8, seed=9)
+        graph = SparseGraph.from_adjacency(np.ones((graph_n, graph_n), dtype=bool))
+        with pytest.raises(ValueError, match=f"graph has {graph_n} nodes but the instance has 8"):
+            solve(inst, SolverConfig(beam_size=4), graph=graph)
+
     def test_disconnected_graph_reports_failed_step(self):
         inst = generate_tsp(8, seed=10)
         v = np.zeros((8, 8))  # heatmap with no edges above threshold
