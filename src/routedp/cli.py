@@ -143,10 +143,9 @@ def _solve_one(args: tuple) -> ReportRow:
         return ReportRow(instance_id, None, False, config.beam_size,
                          config.policy.value, label, 0.0, hm_time, error=str(exc))
     if not result.found:
-        err = None if instance.kind == ProblemKind.TSPTW else \
-            f"beam died at step {result.failed_at_step}"
         return ReportRow(instance_id, None, False, config.beam_size,
-                         config.policy.value, label, solve_time, hm_time, error=err)
+                         config.policy.value, label, solve_time, hm_time,
+                         error=f"beam died at step {result.failed_at_step}")
     if out_dir is not None:
         sol = result.solution
         out = {"actions": list(sol.actions), "routes": [list(r) for r in sol.routes],
@@ -172,7 +171,7 @@ def _config_from_args(args, beam_size=None, policy=None, threshold=None,
     return SolverConfig(
         beam_size=beam_size if beam_size is not None else args.beam_size,
         policy=Policy(policy if policy is not None else args.policy),
-        threshold=threshold if knn is None else None,
+        threshold=threshold,
         knn=knn,
         dominance_enabled=(dominance if dominance is not None
                            else args.dominance == "on"),

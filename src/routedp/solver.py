@@ -4,8 +4,9 @@ One solve runs single-threaded: the beam for step t+1 is built from the
 top-B scoring non-dominated expansions of the beam at step t.  A step
 groups the beam by visited set, expands every entry along the sparse graph
 (feasibility only), prunes dominated candidates per DP state, selects the
-top B and builds the next beam.  Per-step (parent, action) records go to a
-trace from which the winning solution is backtracked and independently
+top B and builds the next beam; a candidate's potential is derived from its
+parent's visited set.  Per-step (parent, action) records go to a trace
+from which the winning solution is backtracked and independently
 re-simulated before being returned.
 """
 
@@ -19,7 +20,7 @@ import numpy as np
 from .decode import build_solution
 from .heatmaps import Heatmap, SparseGraph, cost_heatmap, sparsify_knn, sparsify_threshold, symmetrize
 from .instances import DEPOT, Instance, ProblemKind, Solution
-from .policy import Policy, PolicyTables, build_policy_tables, initial_potential
+from .policy import Policy, PolicyTables, PotentialState, build_policy_tables, initial_potential
 from .pruning import prune_pareto_front, prune_single_best
 
 WORD_BITS = 64
@@ -29,7 +30,7 @@ WORD_BITS = 64
 class SolverConfig:
     beam_size: int
     policy: Policy = Policy.HEAT_POTENTIAL
-    threshold: float | None = 1e-5
+    threshold: float | None = None   # 1e-5 unless knn is set
     knn: int | None = None
     dominance_enabled: bool = True
     invert_cost_heat: bool = False
@@ -68,7 +69,9 @@ def pack_visited(mask: np.ndarray) -> np.ndarray:
 
 @dataclass
 class Beam:
-    """Struct-of-arrays beam state; row order is the trace slot order."""
+    """Struct-of-arrays beam state; row order is the trace slot order.
+
+    Children's potentials follow from the visited rows (_Context.pot_drop)."""
 
     cost: np.ndarray
     current: np.ndarray
@@ -76,8 +79,6 @@ class Beam:
     pot_total: np.ndarray
     score: np.ndarray
     visited: np.ndarray        # (m, n) bool
-    packed: np.ndarray         # (m, words) uint64
-    potential: np.ndarray      # (m, n) per-node remaining potential
     extra: np.ndarray | None   # remcap (VRP) / time (TSPTW)
     slots: np.ndarray          # trace slot of each row
 
@@ -88,7 +89,6 @@ class Beam:
     def permuted(self, perm: np.ndarray) -> "Beam":
         return Beam(self.cost[perm], self.current[perm], self.heat[perm],
                     self.pot_total[perm], self.score[perm], self.visited[perm],
-                    self.packed[perm], self.potential[perm],
                     None if self.extra is None else self.extra[perm],
                     self.slots[perm])
 
@@ -96,18 +96,19 @@ class Beam:
 def group_by_visited(beam: Beam) -> tuple[Beam, np.ndarray]:
     """Reorder the beam so equal visited sets are contiguous.
 
-    Returns the permuted beam and a group ordinal per row.  Rows within a
-    group follow the global tie-break order (score desc, cost asc, current
-    asc, slot asc).
+    Returns the permuted beam and a non-decreasing group ordinal per row.
+    The beam arrives in select_top_b order with slot == row, i.e. already
+    in the global tie-break order (score desc, cost asc, current asc, slot
+    asc), so a stable sort on the packed visited words alone keeps that
+    order within each group.
     """
-    words = [beam.packed[:, w] for w in range(beam.packed.shape[1])]
-    perm = np.lexsort((beam.slots, beam.current, beam.cost, -beam.score, *words))
-    out = beam.permuted(perm)
-    m = out.width
-    first = np.empty(m, dtype=bool)
+    packed = pack_visited(beam.visited)
+    perm = np.lexsort(packed.T)
+    packed = packed[perm]
+    first = np.empty(beam.width, dtype=bool)
     first[0] = True
-    first[1:] = (out.packed[1:] != out.packed[:-1]).any(axis=1)
-    return out, np.cumsum(first) - 1
+    first[1:] = (packed[1:] != packed[:-1]).any(axis=1)
+    return beam.permuted(perm), np.cumsum(first) - 1
 
 
 @dataclass
@@ -123,8 +124,7 @@ class Candidates:
     heat: np.ndarray
     pot: np.ndarray
     score: np.ndarray
-    extra: np.ndarray | None = None      # remcap (VRP) / time (TSPTW)
-    is_direct: np.ndarray | None = None  # VRP: 0 for a move via the depot
+    extra: np.ndarray | None = None   # remcap (VRP) / time (TSPTW)
 
     def __len__(self) -> int:
         return self.cost.shape[0]
@@ -134,8 +134,7 @@ class Candidates:
                           self.target[idx], self.action[idx], self.state_id[idx],
                           self.cost[idx], self.heat[idx], self.pot[idx],
                           self.score[idx],
-                          None if self.extra is None else self.extra[idx],
-                          None if self.is_direct is None else self.is_direct[idx])
+                          None if self.extra is None else self.extra[idx])
 
 
 @dataclass
@@ -156,20 +155,24 @@ class _Context:
         t = self.tables
         return t.heat if t.via_depot_heat is None else np.hstack([t.heat, t.via_depot_heat])
 
+    @cached_property
+    def start_potential(self) -> PotentialState:
+        vrp = self.instance.kind == ProblemKind.VRP  # VRP never marks the depot visited
+        return initial_potential(self.tables, set() if vrp else {DEPOT})
 
-def _potential_of_candidates(ctx: _Context, beam: Beam, ppos: np.ndarray,
-                             tgt: np.ndarray, visited_sum: np.ndarray) -> np.ndarray:
-    # Total potential after visiting tgt: parent total minus the target's own
-    # remaining potential and minus the potential every still-counted node
-    # loses from the target's incoming heat becoming unusable.
-    return (beam.pot_total[ppos] - beam.potential[ppos, tgt]
-            - ctx.tables.delta.sum(axis=1)[tgt] + visited_sum[ppos, tgt])
+    # Let V be a parent's visited nodes other than node 0 (never a target).  Its
+    # remaining potential of t is start_potential.p[t] - sum_{u in V} delta[u, t],
+    # and visiting t removes that and the delta[t, v] of every node v not in
+    # V, so the child's total is
+    #   parent total - pot_drop[t] + sum_{u in V} pot_regain[u, t].
+    @cached_property
+    def pot_drop(self) -> np.ndarray:
+        return self.start_potential.p + self.tables.delta.sum(axis=1)
 
-
-def _visited_delta_sums(ctx: _Context, beam: Beam) -> np.ndarray:
-    # visited_sum[e, v] = sum of delta[v, i] over visited non-start nodes i.
-    mask = beam.visited[:, 1:].astype(float)
-    return mask @ ctx.tables.delta[:, 1:].T
+    @cached_property
+    def pot_regain(self) -> np.ndarray:
+        d = self.tables.delta
+        return (d + d.T)[1:]
 
 
 def _build_candidates(ctx: _Context, beam: Beam, groups: np.ndarray, ppos: np.ndarray,
@@ -182,7 +185,7 @@ def _build_candidates(ctx: _Context, beam: Beam, groups: np.ndarray, ppos: np.nd
     """
     n = ctx.n
     cur = beam.current[ppos]
-    tgt, start, src, is_direct = col, beam.cost[ppos], cur, None
+    tgt, start, src = col, beam.cost[ppos], cur
     if ctx.instance.kind == ProblemKind.VRP:
         via = col >= n
         tgt = col % n
@@ -190,14 +193,13 @@ def _build_candidates(ctx: _Context, beam: Beam, groups: np.ndarray, ppos: np.nd
         src = np.where(via, DEPOT, cur)
         remcap = np.where(via, float(ctx.instance.capacity), beam.extra[ppos])
         extra = remcap - ctx.instance.demands[tgt]
-        is_direct = (~via).astype(np.int8)
     cost = start + ctx.costs[src, tgt]
     heat = beam.heat[ppos] + ctx.step_heat[cur, col]
-    vs = _visited_delta_sums(ctx, beam)
-    pot = _potential_of_candidates(ctx, beam, ppos, tgt, vs)
+    regain = beam.visited[:, 1:].astype(float) @ ctx.pot_regain
+    pot = beam.pot_total[ppos] - ctx.pot_drop[tgt] + regain[ppos, tgt]
     score = -cost if ctx.config.policy.ranks_by_cost else heat + pot
     return Candidates(ppos, beam.slots[ppos], tgt, col, groups[ppos] * np.int64(n) + tgt,
-                      cost, heat, pot, score, extra, is_direct)
+                      cost, heat, pot, score, extra)
 
 
 def expand_tsp(beam: Beam, groups: np.ndarray, ctx: _Context) -> Candidates:
@@ -271,11 +273,17 @@ def _prune_contested(cand: Candidates, groups: np.ndarray | None, kernel) -> Can
     return cand.take(np.flatnonzero(keep))
 
 
+def _tie_keys(cand: Candidates, i) -> tuple[np.ndarray, ...]:
+    # Minor to major, so ties go to the higher action, score, then lower slot.  In
+    # one DP state the action is the target, or n + target for a VRP via-depot move.
+    return (cand.parent_slot[i], -cand.score[i], -cand.action[i])
+
+
 def prune_tsp(cand: Candidates, groups: np.ndarray | None = None) -> Candidates:
     """One minimum-cost candidate per DP state; exact ties go to the higher
     score, then the lower parent slot."""
     return _prune_contested(cand, groups, lambda i: prune_single_best(
-        cand.state_id[i], cand.cost[i], tie_keys=(cand.parent_slot[i], -cand.score[i])))
+        cand.state_id[i], cand.cost[i], tie_keys=_tie_keys(cand, i)))
 
 
 def prune_capacity_time(cand: Candidates, objective: np.ndarray,
@@ -285,14 +293,10 @@ def prune_capacity_time(cand: Candidates, objective: np.ndarray,
     For VRP pass the remaining capacity and no groups: direct and via-depot
     moves from one parent share states.  For TSPTW pass negated time and the
     parent groups.  Exact ties go to via-depot moves first, then the higher
-    score, the lower parent slot and the lower action.
+    score, then the lower parent slot.
     """
-    def kernel(i) -> np.ndarray:
-        tie = (cand.action[i], cand.parent_slot[i], -cand.score[i])
-        if cand.is_direct is not None:
-            tie += (cand.is_direct[i],)
-        return prune_pareto_front(cand.state_id[i], cand.cost[i], objective[i], tie_keys=tie)
-    return _prune_contested(cand, groups, kernel)
+    return _prune_contested(cand, groups, lambda i: prune_pareto_front(
+        cand.state_id[i], cand.cost[i], objective[i], tie_keys=_tie_keys(cand, i)))
 
 
 def select_top_b(cand: Candidates, beam_size: int) -> Candidates:
@@ -330,34 +334,28 @@ def backtrack(trace: list[tuple[np.ndarray, np.ndarray]], winning_slot: int) -> 
 
 
 def _init_beam(ctx: _Context) -> Beam:
-    n = ctx.n
     kind = ctx.instance.kind
-    visited = np.zeros((1, n), dtype=bool)
+    visited = np.zeros((1, ctx.n), dtype=bool)
     extra: np.ndarray | None = None
     if kind == ProblemKind.VRP:
         extra = np.array([float(ctx.instance.capacity)])
-        init_visited: set[int] = set()
     else:
         visited[0, DEPOT] = True
-        init_visited = {DEPOT}
         if kind == ProblemKind.TSPTW:
             extra = np.array([0.0])
-    pot = initial_potential(ctx.tables, init_visited)
-    score = -0.0 if ctx.config.policy.ranks_by_cost else pot.total
+    total = ctx.start_potential.total
+    score = -0.0 if ctx.config.policy.ranks_by_cost else total
     return Beam(np.zeros(1), np.full(1, DEPOT, dtype=np.int64), np.zeros(1),
-                np.array([pot.total]), np.array([score]), visited,
-                pack_visited(visited), pot.p[None, :].copy(), extra,
+                np.array([total]), np.array([score]), visited, extra,
                 np.zeros(1, dtype=np.int64))
 
 
-def _next_beam(ctx: _Context, beam: Beam, cand: Candidates) -> Beam:
+def _next_beam(beam: Beam, cand: Candidates) -> Beam:
     # cand holds fresh arrays from select_top_b, so the beam takes them over.
     visited = beam.visited[cand.parent_pos]
     visited[np.arange(len(cand)), cand.target] = True
-    potential = beam.potential[cand.parent_pos] - ctx.tables.delta[cand.target]
     return Beam(cand.cost, cand.target, cand.heat, cand.pot, cand.score, visited,
-                pack_visited(visited), potential, cand.extra,
-                np.arange(len(cand), dtype=np.int64))
+                cand.extra, np.arange(len(cand), dtype=np.int64))
 
 
 def effective_heatmap(instance: Instance, heatmap: Heatmap | None,
@@ -436,7 +434,7 @@ def solve(
 
         cand = select_top_b(cand, config.beam_size)
         trace.append((cand.parent_slot, cand.action))
-        beam = _next_beam(ctx, beam, cand)
+        beam = _next_beam(beam, cand)
         max_width = max(max_width, beam.width)
 
     # Return step: close the tour / final route at the depot.

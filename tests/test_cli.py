@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from routedp import generate_tsp, read_instance, replay, write_instance
+from routedp import generate_tsp, generate_tsptw, read_instance, replay, write_instance
 from routedp import cli
 from routedp.cli import main
 
@@ -79,6 +79,17 @@ class TestSolveCommand:
         assert rc == 1
         rows = read_report(out)
         assert all(r["error"] != "" for r in rows)
+
+    def test_tsptw_beam_death_is_an_error_row(self, tmp_path):
+        d = tmp_path / "instances"
+        d.mkdir()
+        write_instance(generate_tsptw(10, seed=0), d / "tsptw10_0000.json")
+        out = tmp_path / "out"
+        rc = main(["solve", "--problem", "tsptw", "--instances", str(d),
+                   "--knn", "2", "--beam-size", "64", "--policy", "cost-heat-potential",
+                   "--out", str(out)])
+        assert rc == 1
+        assert read_report(out)[0]["error"] == "beam died at step 4"
 
     def test_ref_costs_gap_in_summary(self, tmp_path, capsys):
         d = write_tsp_dir(tmp_path, count=2)

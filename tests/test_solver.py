@@ -7,12 +7,13 @@ from helpers import naive_pareto
 from routedp import (DEPOT, Heatmap, Policy, ProblemKind, SolverConfig,
                      SparseGraph, brute_force, generate_tsp, generate_tsptw,
                      generate_vrp, replay, solve)
+from routedp import solver
 from routedp.instances import Instance
 from routedp.solver import (Beam, Candidates, _Context, _init_beam, expand_tsp,
                             expand_vrp, group_by_visited, pack_visited,
                             prune_capacity_time, prune_tsp, select_top_b,
                             build_graph, effective_heatmap)
-from routedp.policy import build_policy_tables
+from routedp.policy import build_policy_tables, initial_potential
 from routedp.heatmaps import cost_heatmap, symmetrize
 
 
@@ -37,11 +38,9 @@ def beam_from_rows(ctx, rows):
     for i, (vis, cur, c) in enumerate(rows):
         visited[i, sorted(vis)] = True
         current[i], cost[i] = cur, c
-    from routedp.policy import initial_potential
     pot = [initial_potential(ctx.tables, vis) for vis, _, _ in rows]
     return Beam(cost, current, np.zeros(m), np.array([p.total for p in pot]),
-                np.array([p.total for p in pot]), visited, pack_visited(visited),
-                np.stack([p.p for p in pot]), None,
+                np.array([p.total for p in pot]), visited, None,
                 np.arange(m, dtype=np.int64))
 
 
@@ -81,6 +80,43 @@ class TestGrouping:
             else:
                 assert g not in seen.values()
                 seen[key] = g
+
+    def test_word_sort_matches_six_key_lexsort(self, monkeypatch):
+        # A beam in global order (score desc, cost, current, slot == row)
+        # groups like the full tie-break lexsort, on real beams and on a
+        # synthetic one with many exact ties.
+        seen, group = [], solver.group_by_visited
+
+        def record(beam):
+            out = group(beam)
+            seen.append((beam, out[0]))
+            return out
+        monkeypatch.setattr(solver, "group_by_visited", record)
+        for inst in (generate_tsp(70, seed=2), generate_vrp(70, seed=2)):
+            solve(inst, SolverConfig(beam_size=64, policy=Policy.COST_HEAT_POTENTIAL))
+        monkeypatch.undo()
+
+        rng = np.random.default_rng(2)
+        ctx = make_context(generate_tsp(70, seed=2))
+        sets = [{0} | set(rng.choice(np.arange(1, 70), size=4, replace=False).tolist())
+                for _ in range(5)]
+        rows = []
+        for k in rng.integers(0, 5, size=200):
+            vis = sets[k]
+            rows.append((vis, int(rng.choice(sorted(vis))), float(rng.integers(0, 3))))
+        beam = beam_from_rows(ctx, rows)
+        beam.score = rng.integers(0, 3, size=beam.width) / 2.0
+        beam = beam.permuted(np.lexsort((beam.current, beam.cost, -beam.score)))
+        beam.slots = np.arange(beam.width, dtype=np.int64)
+        seen.append((beam, group_by_visited(beam)[0]))
+
+        assert len(seen) > 100
+        for beam, out in seen:
+            packed = pack_visited(beam.visited)
+            words = [packed[:, w] for w in range(packed.shape[1])]
+            old = np.lexsort((beam.slots, beam.current, beam.cost, -beam.score, *words))
+            assert np.array_equal(out.slots, beam.slots[old])
+            assert np.array_equal(out.visited, beam.visited[old])
 
     def test_pack_visited_is_injective_beyond_64_nodes(self):
         rng = np.random.default_rng(1)
@@ -141,18 +177,44 @@ class TestExpansion:
         beam.extra = np.array([6.0, 4.0, 8.0])
         beam, groups = group_by_visited(beam)
         cand = expand_vrp(beam, groups, ctx, step=2)
-        via_states = cand.state_id[cand.is_direct == 0]
+        via = cand.action >= inst.n
+        via_states = cand.state_id[via]
         assert len(set(via_states.tolist())) < via_states.size
-        shared = set(via_states.tolist()) & set(cand.state_id[cand.is_direct == 1].tolist())
+        shared = set(via_states.tolist()) & set(cand.state_id[~via].tolist())
         assert shared
 
         kept = prune_capacity_time(cand, cand.extra)
         want = naive_pareto(cand.state_id, cand.cost, cand.extra, cand.action,
-                            cand.parent_slot, cand.score, cand.is_direct)
+                            cand.parent_slot, cand.score, (~via).astype(np.int8))
         assert (sorted(zip(kept.parent_slot.tolist(), kept.action.tolist()))
                 == sorted(zip(cand.parent_slot[want].tolist(), cand.action[want].tolist())))
-        kept_via = kept.state_id[kept.is_direct == 0]
+        kept_via = kept.state_id[kept.action >= inst.n]
         assert sorted(kept_via.tolist()) == sorted(set(via_states.tolist()))
+
+
+class TestPotential:
+    @pytest.mark.parametrize("generate", [generate_tsp, generate_vrp, generate_tsptw])
+    def test_candidate_potential_matches_from_scratch(self, generate, monkeypatch):
+        # Every candidate of a full beam carries the potential of its
+        # parent's visited set plus its target, recomputed from scratch.
+        seen = []
+        for name in ("expand_tsp", "expand_vrp", "expand_tsptw"):
+            def record(beam, groups, ctx, *args, _expand=getattr(solver, name)):
+                cand = _expand(beam, groups, ctx, *args)
+                seen.append((beam.visited, ctx.tables, cand))
+                return cand
+            monkeypatch.setattr(solver, name, record)
+        inst = generate(8, seed=3)
+        assert solve(inst, SolverConfig(beam_size=10**6, threshold=0.0)).found
+        assert len(seen) == inst.n - 1
+        want, worst = {}, 0.0
+        for visited, tables, cand in seen:
+            for p, t, pot in zip(cand.parent_pos, cand.target, cand.pot):
+                key = frozenset(np.flatnonzero(visited[p]).tolist()) | {int(t)}
+                if key not in want:
+                    want[key] = initial_potential(tables, set(key)).total
+                worst = max(worst, abs(pot - want[key]))
+        assert worst <= 1e-9
 
 
 class TestSelection:
@@ -258,7 +320,7 @@ class TestSolveTSP:
         # the uninverted cost heuristic favors long edges and can strand a
         # beam on a sparse graph, so drive this run with the inverted variant
         inst = generate_tsp(30, seed=11)
-        cfg = SolverConfig(beam_size=64, knn=8, threshold=None,
+        cfg = SolverConfig(beam_size=64, knn=8,
                            policy=Policy.COST_HEAT_POTENTIAL, invert_cost_heat=True)
         res = solve(inst, cfg)
         assert res.found
@@ -340,6 +402,11 @@ class TestConfig:
         with pytest.raises(ValueError, match="mutually exclusive"):
             SolverConfig(beam_size=4, threshold=0.1, knn=3)
 
+    def test_knn_alone_leaves_threshold_unset(self):
+        cfg = SolverConfig(beam_size=64, knn=8)
+        assert (cfg.threshold, cfg.knn) == (None, 8)
+
     def test_default_threshold_restored_when_both_unset(self):
         cfg = SolverConfig(beam_size=4, threshold=None, knn=None)
         assert cfg.threshold == 1e-5
+        assert SolverConfig(beam_size=4).threshold == 1e-5
