@@ -116,10 +116,16 @@ def _load_ref_costs(path: str | None) -> dict[str, float] | None:
     if path is None:
         return None
     refs = {}
-    for line in Path(path).read_text(encoding="utf-8").splitlines():
-        if line.strip():
-            name, value = line.split()
-            refs[name] = float(value)
+    for i, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+        fields = line.split()
+        if fields:
+            try:
+                cost = float(fields[1]) if len(fields) == 2 else math.nan
+            except ValueError:
+                cost = math.nan
+            if not (math.isfinite(cost) and cost > 0):
+                raise ValueError(f"{path} line {i}: want '<instance> <cost>', cost finite and > 0")
+            refs[fields[0]] = cost
     return refs
 
 
@@ -184,12 +190,12 @@ def cmd_solve(args) -> int:
     if args.out:
         Path(args.out).mkdir(parents=True, exist_ok=True)
     config = _config_from_args(args, threshold=args.threshold, knn=args.knn)
-    rows = _run_solves(paths, args.heatmap_dir, config, args.out, args.jobs)
-    report = RunReport(rows, _load_ref_costs(args.ref_costs))
+    refs = _load_ref_costs(args.ref_costs)   # a bad file fails before any solve
+    report = RunReport(_run_solves(paths, args.heatmap_dir, config, args.out, args.jobs), refs)
     dest = Path(args.out or ".") / ("report.json" if args.json else "report.csv")
     report.write(dest, args.json)
     print(report.summary())
-    return 0 if all(r.error is None for r in rows) else 1
+    return 0 if all(r.error is None for r in report.rows) else 1
 
 
 def cmd_generate(args) -> int:
@@ -347,7 +353,7 @@ def main(argv: list[str] | None = None) -> int:
         parser.error("--threshold and --knn are mutually exclusive")
     try:
         return args.func(args)
-    except (FileNotFoundError, ValueError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

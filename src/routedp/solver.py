@@ -174,6 +174,15 @@ class _Context:
         d = self.tables.delta
         return (d + d.T)[1:]
 
+    # TSPTW lookahead tables: nodes in deadline order, slack_to[j, v] = u_j - c_vj.
+    @cached_property
+    def by_deadline(self) -> np.ndarray:
+        return np.argsort(self.instance.time_windows[:, 1], kind="stable")
+
+    @cached_property
+    def slack_to(self) -> np.ndarray:
+        return self.instance.time_windows[:, 1:] - self.costs.T
+
 
 def _build_candidates(ctx: _Context, beam: Beam, groups: np.ndarray, ppos: np.ndarray,
                       col: np.ndarray, extra: np.ndarray | None = None) -> Candidates:
@@ -232,28 +241,23 @@ def expand_vrp(beam: Beam, groups: np.ndarray, ctx: _Context, step: int) -> Cand
 
 
 def expand_tsptw(beam: Beam, groups: np.ndarray, ctx: _Context) -> Candidates:
-    n = ctx.n
     lo, hi = ctx.instance.time_windows.T
-    ppos, tgt = np.nonzero(ctx.adj[beam.current] & ~beam.visited)
-    arrive = np.maximum(beam.extra[ppos] + ctx.costs[beam.current[ppos], tgt], lo[tgt])
-    ok = arrive <= hi[tgt]
-
-    # One-step lookahead: arriving at v at time tau must leave every other
-    # unvisited node j reachable before its deadline (tau + c_vj <= u_j).
-    slack = hi[None, :] - ctx.costs            # slack[v, j] = u_j - c_vj
-    group_rows = np.searchsorted(groups, np.arange(groups[-1] + 1))
-    latest = np.full((group_rows.size, n), np.inf)
-    for g, row in enumerate(group_rows):
-        cols = np.flatnonzero(~beam.visited[row])
-        if cols.size == 0:
-            continue
-        sub = slack[:, cols].copy()
-        sub[cols, np.arange(cols.size)] = np.inf   # exclude the target itself
-        latest[g] = sub.min(axis=1)
-    ok &= arrive <= latest[groups[ppos], tgt]
-
-    idx = np.flatnonzero(ok)
-    return _build_candidates(ctx, beam, groups, ppos[idx], tgt[idx], extra=arrive[idx])
+    arrive = np.maximum(beam.extra[:, None] + ctx.costs[beam.current], lo)
+    # Arriving at v must keep every unvisited node reachable by its deadline:
+    # arrive <= latest[g, v] = min_{j in U_g} (u_j - c_vj), where j = v gives v's
+    # own deadline (c_vv = 0).  As c >= 0 and rounding is monotone, the earliest
+    # deadline u(1) in U_g bounds latest[g, v], so no j with fl(u_j - max c) > u(1)
+    # is the minimum (+inf deadlines too).  Groups all have the same number of
+    # unvisited nodes: fold the longest such prefix in deadline order, exactly.
+    first = np.searchsorted(groups, np.arange(groups[-1] + 1))
+    order = np.nonzero(~beam.visited[first][:, ctx.by_deadline])[1]
+    nodes = ctx.by_deadline[order.reshape(first.size, -1)]
+    prefix = (hi[nodes] - ctx.costs.max() <= hi[nodes[:, :1]]).sum(axis=1).max(initial=0)
+    latest = np.full((first.size, ctx.n), np.inf)
+    for j in nodes[:, :prefix].T:
+        np.minimum(latest, ctx.slack_to[j], out=latest)
+    ppos, tgt = np.nonzero(ctx.adj[beam.current] & ~beam.visited & (arrive <= latest[groups]))
+    return _build_candidates(ctx, beam, groups, ppos, tgt, extra=arrive[ppos, tgt])
 
 
 def _prune_contested(cand: Candidates, groups: np.ndarray | None, kernel) -> Candidates:

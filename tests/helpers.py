@@ -69,3 +69,35 @@ def random_candidate_groups(rng, n_states, with_ties=True):
     score = rng.integers(0, grid, size=m) / 5.0
     is_direct = rng.integers(0, 2, size=m).astype(np.int8)
     return state_id, cost, obj, action, parent_slot, score, is_direct
+
+
+def naive_latest(visited, deadlines, costs):
+    """Latest arrival at each node v that keeps every other unvisited node
+    reachable in time, one visited-set row at a time:
+    latest[r, v] = min over unvisited j != v of (u_j - c_vj), +inf if none."""
+    slack = deadlines[None, :] - costs            # slack[v, j] = u_j - c_vj
+    latest = np.full(visited.shape, np.inf)
+    for r, row in enumerate(visited):
+        cols = np.flatnonzero(~row)
+        if cols.size == 0:
+            continue
+        sub = slack[:, cols].copy()
+        sub[cols, np.arange(cols.size)] = np.inf   # exclude the target itself
+        latest[r] = sub.min(axis=1)
+    return latest
+
+
+def naive_tsptw_kept(visited, current, time, adj, costs, time_windows):
+    """(row, target, arrival) of every TSPTW move that meets the target's
+    window and the one-step lookahead of naive_latest, in row-major order."""
+    lo, hi = time_windows[:, 0], time_windows[:, 1]
+    latest = naive_latest(visited, hi, costs)
+    kept = []
+    for r in range(len(current)):
+        for t in range(visited.shape[1]):
+            if visited[r, t] or not adj[current[r], t]:
+                continue
+            arrive = max(float(time[r] + costs[current[r], t]), float(lo[t]))
+            if arrive <= hi[t] and arrive <= latest[r, t]:
+                kept.append((r, t, arrive))
+    return kept

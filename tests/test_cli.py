@@ -104,6 +104,33 @@ class TestSolveCommand:
               "--beam-size", "64", "--ref-costs", str(refs), "--out", str(out)])
         assert "mean_gap=0.00" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("body, line", [
+        ("tsp8_0000\n", 1),                    # a name without a cost
+        ("tsp8_0000 1.5\n\ntsp8_0001 0\n", 3),  # a zero cost would divide the gap
+        ("tsp8_0000 -2.0\n", 1),
+        ("tsp8_0000 nan\n", 1),
+        ("tsp8_0000 inf\n", 1),
+        ("tsp8_0000 abc\n", 1),
+        ("tsp8_0000 1.5 2.5\n", 1),
+    ])
+    def test_bad_ref_costs_exit_2_before_solving(self, tmp_path, capsys, body, line):
+        d = write_tsp_dir(tmp_path, count=2)
+        refs = tmp_path / "refs.txt"
+        refs.write_text(body)
+        out = tmp_path / "out"
+        rc = main(["solve", "--problem", "tsp", "--instances", str(d),
+                   "--beam-size", "4", "--ref-costs", str(refs), "--out", str(out)])
+        assert rc == 2
+        assert f"error: {refs} line {line}:" in capsys.readouterr().err
+        assert not (out / "report.csv").exists()
+
+    def test_unreadable_ref_costs_exit_2(self, tmp_path, capsys):
+        d = write_tsp_dir(tmp_path, count=1)
+        rc = main(["solve", "--problem", "tsp", "--instances", str(d),
+                   "--beam-size", "4", "--ref-costs", str(tmp_path), "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert "error:" in capsys.readouterr().err
+
     def test_jobs_parallel_matches_serial(self, tmp_path):
         d = write_tsp_dir(tmp_path, count=4)
         outs = []
