@@ -130,12 +130,14 @@ def _load_ref_costs(path: str | None) -> dict[str, float] | None:
 
 
 def _solve_one(args: tuple) -> ReportRow:
-    path, heatmap_dir, config, out_dir = args
+    path, problem, heatmap_dir, config, out_dir = args
     instance_id = path.stem
     label = _sparsification_label(config)
     hm_time = 0.0
     try:
         instance = read_instance(path)
+        if problem is not None and instance.kind.value != problem:
+            raise ValueError(f"{path}: problem {instance.kind.value} but --problem {problem}")
         heatmap: Heatmap | None = None
         if heatmap_dir is not None:
             hp = Path(heatmap_dir) / f"{instance_id}.heat"
@@ -162,8 +164,8 @@ def _solve_one(args: tuple) -> ReportRow:
                      config.policy.value, label, solve_time, hm_time)
 
 
-def _run_solves(paths, heatmap_dir, config, out_dir, jobs: int) -> list[ReportRow]:
-    work = [(p, heatmap_dir, config, out_dir) for p in paths]
+def _run_solves(paths, problem, heatmap_dir, config, out_dir, jobs: int) -> list[ReportRow]:
+    work = [(p, problem, heatmap_dir, config, out_dir) for p in paths]
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             rows = list(pool.map(_solve_one, work))
@@ -191,7 +193,8 @@ def cmd_solve(args) -> int:
         Path(args.out).mkdir(parents=True, exist_ok=True)
     config = _config_from_args(args, threshold=args.threshold, knn=args.knn)
     refs = _load_ref_costs(args.ref_costs)   # a bad file fails before any solve
-    report = RunReport(_run_solves(paths, args.heatmap_dir, config, args.out, args.jobs), refs)
+    rows = _run_solves(paths, args.problem, args.heatmap_dir, config, args.out, args.jobs)
+    report = RunReport(rows, refs)
     dest = Path(args.out or ".") / ("report.json" if args.json else "report.csv")
     report.write(dest, args.json)
     print(report.summary())
@@ -260,7 +263,7 @@ def cmd_bench(args) -> int:
         label = (f"B={config.beam_size}|{config.policy.value}|"
                  f"{_sparsification_label(config)}|dom="
                  f"{'on' if config.dominance_enabled else 'off'}")
-        rows = _run_solves(paths, args.heatmap_dir, config, None, args.jobs)
+        rows = _run_solves(paths, args.problem, args.heatmap_dir, config, None, args.jobs)
         all_rows.extend((label, r) for r in rows)
         costs = [r.cost for r in rows if r.cost is not None]
         mean_cost = sum(costs) / len(costs) if costs else math.nan

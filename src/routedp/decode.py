@@ -102,6 +102,8 @@ def replay(
                     bad.append(f"step {step}: demand {d} exceeds remaining capacity {remcap}")
                 cost += costs[current, node]
                 remcap -= d
+                if tables is not None:
+                    heat += tables.heat[current, node]
             visited.add(node)
             if pot is not None:
                 pot = visit_update(pot, tables, node)

@@ -103,10 +103,6 @@ class Instance:
     def n(self) -> int:
         return self.coords.shape[0]
 
-    @property
-    def depot(self) -> int:
-        return DEPOT
-
     def cost_matrix(self) -> np.ndarray:
         return euclidean_cost_matrix(self.coords)
 
@@ -229,15 +225,21 @@ def read_instance(path: str | Path) -> Instance:
             if key not in obj:
                 raise InstanceFormatError(f"{path}: missing field '{key}' for problem 'vrp'")
         demands, capacity = obj["demands"], obj["capacity"]
+        if isinstance(capacity, bool) or not isinstance(capacity, (int, float)):
+            raise InstanceFormatError(f"{path}: 'capacity' {capacity!r} is not a number")
     if kind == ProblemKind.TSPTW:
         if "time_windows" not in obj:
             raise InstanceFormatError(f"{path}: missing field 'time_windows' for problem 'tsptw'")
-        tw = [[l, math.inf if u is None else u] for l, u in obj["time_windows"]]
+        try:
+            tw = [[l, math.inf if u is None else u] for l, u in obj["time_windows"]]
+        except (TypeError, ValueError):
+            raise InstanceFormatError(f"{path}: 'time_windows' must be a list of "
+                                      "two-number lists") from None
 
     try:
         return Instance(kind, np.asarray(obj["coords"], dtype=float),
                         demands=None if demands is None else np.asarray(demands, dtype=float),
                         capacity=capacity,
                         time_windows=None if tw is None else np.asarray(tw, dtype=float))
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise InstanceFormatError(f"{path}: {exc}") from exc

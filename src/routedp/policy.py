@@ -5,6 +5,10 @@ The beam ranks partial solutions by score = accumulated edge heat plus a
 the weighted share of its incoming heat that is still realizable.  Tables
 are immutable and shared; per-solution potential state is copied on
 expansion.
+
+heat, w, delta, via-depot heat and start potentials lie on the score grid,
+multiples of 2^-q with q = 53 - ceil(log2(8n)).  Scores stay below 8n in
+magnitude, so every partial sum of grid values is exact, in any order.
 """
 
 from __future__ import annotations
@@ -46,6 +50,12 @@ class Policy(str, Enum):
         return self is Policy.COST
 
 
+def _on_grid(a: np.ndarray, n: int) -> np.ndarray:
+    """a rounded to the score grid of an n-node instance (module docstring)."""
+    scale = 2.0 ** (53 - (8 * n - 1).bit_length())
+    return np.rint(a * scale) / scale
+
+
 # Penalty factor applied to the product heat of the two depot legs of a
 # via-depot move, discouraging unnecessary routes.
 VIA_DEPOT_HEAT_PENALTY = 0.1
@@ -68,7 +78,6 @@ class PolicyTables:
     incoming_norm: np.ndarray
     delta: np.ndarray
     via_depot_heat: np.ndarray | None
-    start: int = DEPOT
 
     @property
     def n(self) -> int:
@@ -99,18 +108,19 @@ def build_policy_tables(
         to_start = costs[:, DEPOT]
         max_to_start = to_start.max()
         ratio = to_start / max_to_start if max_to_start > 0 else np.zeros(n)
-        w = hm.max(axis=0) * (1.0 - 0.1 * (ratio - 0.5))
+        w = _on_grid(hm.max(axis=0) * (1.0 - 0.1 * (ratio - 0.5)), n)
     else:
         w = np.zeros(n)
 
     with np.errstate(divide="ignore", invalid="ignore"):
-        delta = np.where(z > 0, w * hm / z, 0.0)
+        delta = _on_grid(np.where(z > 0, w * hm / z, 0.0), n)
 
     via = None
     if problem_kind == ProblemKind.VRP:
-        via = np.outer(hm[:, DEPOT], hm[DEPOT, :]) * VIA_DEPOT_HEAT_PENALTY
+        via = _on_grid(np.outer(hm[:, DEPOT], hm[DEPOT, :]) * VIA_DEPOT_HEAT_PENALTY, n)
         np.fill_diagonal(via, 0.0)
 
+    hm = _on_grid(hm, n)
     for a in (hm, w, z, delta) + (() if via is None else (via,)):
         a.flags.writeable = False
     return PolicyTables(hm, w, z, delta, via)
@@ -139,22 +149,22 @@ def initial_potential(tables: PolicyTables, initial_visited: set[int]) -> Potent
     unvisited[list(initial_visited)] = False
     with np.errstate(divide="ignore", invalid="ignore"):
         numer = tables.heat[unvisited, :].sum(axis=0)
-        p = np.where(tables.incoming_norm > 0,
-                     tables.w * numer / tables.incoming_norm, 0.0)
+        p = _on_grid(np.where(tables.incoming_norm > 0,
+                              tables.w * numer / tables.incoming_norm, 0.0), n)
     counted = unvisited.copy()
-    counted[tables.start] = True
+    counted[DEPOT] = True
     return PotentialState(p, counted, float(p[counted].sum()))
 
 
 def visit_update(state: PotentialState, tables: PolicyTables, newly_visited: int) -> PotentialState:
     """State after visiting one more node (the input state is not mutated)."""
-    if not state.counted[newly_visited] and newly_visited != tables.start:
+    if not state.counted[newly_visited] and newly_visited != DEPOT:
         raise ValueError(f"node {newly_visited} already visited")
     new = state.copy()
     d = tables.delta[newly_visited]
     lost = float(d[new.counted].sum())
     new.p -= d
-    if newly_visited != tables.start:
+    if newly_visited != DEPOT:
         lost += float(new.p[newly_visited])
         new.counted[newly_visited] = False
     new.total = state.total - lost

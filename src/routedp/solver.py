@@ -4,10 +4,10 @@ One solve runs single-threaded: the beam for step t+1 is built from the
 top-B scoring non-dominated expansions of the beam at step t.  A step
 groups the beam by visited set, expands every entry along the sparse graph
 (feasibility only), prunes dominated candidates per DP state, selects the
-top B and builds the next beam; a candidate's potential is derived from its
-parent's visited set.  Per-step (parent, action) records go to a trace
-from which the winning solution is backtracked and independently
-re-simulated before being returned.
+top B and builds the next beam; a candidate's score is its parent's plus
+terms read from per-solve tables and the parent's visited set.  Per-step
+(parent, action) records go to a trace from which the winning solution is
+backtracked and independently re-simulated before being returned.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .decode import build_solution
+from .decode import build_solution, initial_visited
 from .heatmaps import Heatmap, SparseGraph, cost_heatmap, sparsify_knn, sparsify_threshold, symmetrize
 from .instances import DEPOT, Instance, ProblemKind, Solution
 from .policy import Policy, PolicyTables, PotentialState, build_policy_tables, initial_potential
@@ -71,12 +71,10 @@ def pack_visited(mask: np.ndarray) -> np.ndarray:
 class Beam:
     """Struct-of-arrays beam state; row order is the trace slot order.
 
-    Children's potentials follow from the visited rows (_Context.pot_drop)."""
+    Children's scores follow from the visited rows (_Context.step_score)."""
 
     cost: np.ndarray
     current: np.ndarray
-    heat: np.ndarray
-    pot_total: np.ndarray
     score: np.ndarray
     visited: np.ndarray        # (m, n) bool
     extra: np.ndarray | None   # remcap (VRP) / time (TSPTW)
@@ -87,8 +85,7 @@ class Beam:
         return self.cost.shape[0]
 
     def permuted(self, perm: np.ndarray) -> "Beam":
-        return Beam(self.cost[perm], self.current[perm], self.heat[perm],
-                    self.pot_total[perm], self.score[perm], self.visited[perm],
+        return Beam(self.cost[perm], self.current[perm], self.score[perm], self.visited[perm],
                     None if self.extra is None else self.extra[perm],
                     self.slots[perm])
 
@@ -121,8 +118,6 @@ class Candidates:
     action: np.ndarray        # action code (decode.py)
     state_id: np.ndarray
     cost: np.ndarray
-    heat: np.ndarray
-    pot: np.ndarray
     score: np.ndarray
     extra: np.ndarray | None = None   # remcap (VRP) / time (TSPTW)
 
@@ -132,8 +127,7 @@ class Candidates:
     def take(self, idx: np.ndarray) -> "Candidates":
         return Candidates(self.parent_pos[idx], self.parent_slot[idx],
                           self.target[idx], self.action[idx], self.state_id[idx],
-                          self.cost[idx], self.heat[idx], self.pot[idx],
-                          self.score[idx],
+                          self.cost[idx], self.score[idx],
                           None if self.extra is None else self.extra[idx])
 
 
@@ -150,24 +144,22 @@ class _Context:
         return self.instance.n
 
     @cached_property
-    def step_heat(self) -> np.ndarray:
-        # step_heat[i, a]: heat of taking action a at node i (see decode).
-        t = self.tables
-        return t.heat if t.via_depot_heat is None else np.hstack([t.heat, t.via_depot_heat])
-
-    @cached_property
     def start_potential(self) -> PotentialState:
-        vrp = self.instance.kind == ProblemKind.VRP  # VRP never marks the depot visited
-        return initial_potential(self.tables, set() if vrp else {DEPOT})
+        return initial_potential(self.tables, initial_visited(self.instance.kind))
 
     # Let V be a parent's visited nodes other than node 0 (never a target).  Its
     # remaining potential of t is start_potential.p[t] - sum_{u in V} delta[u, t],
     # and visiting t removes that and the delta[t, v] of every node v not in
-    # V, so the child's total is
-    #   parent total - pot_drop[t] + sum_{u in V} pot_regain[u, t].
+    # V.  So action a at node i, a move to t = a % n (see decode), gives
+    #   child score = parent score + step_score[i, a] + sum_{u in V} pot_regain[u, t],
+    # step_score[i, a] = heat of a - (start_potential.p[t] + sum_v delta[t, v]).
+    # The tables lie on the score grid (policy.py), so every sum is exact.
     @cached_property
-    def pot_drop(self) -> np.ndarray:
-        return self.start_potential.p + self.tables.delta.sum(axis=1)
+    def step_score(self) -> np.ndarray:
+        t = self.tables
+        heat = t.heat if t.via_depot_heat is None else np.hstack([t.heat, t.via_depot_heat])
+        drop = self.start_potential.p + t.delta.sum(axis=1)
+        return heat - np.tile(drop, heat.shape[1] // self.n)
 
     @cached_property
     def pot_regain(self) -> np.ndarray:
@@ -203,12 +195,13 @@ def _build_candidates(ctx: _Context, beam: Beam, groups: np.ndarray, ppos: np.nd
         remcap = np.where(via, float(ctx.instance.capacity), beam.extra[ppos])
         extra = remcap - ctx.instance.demands[tgt]
     cost = start + ctx.costs[src, tgt]
-    heat = beam.heat[ppos] + ctx.step_heat[cur, col]
-    regain = beam.visited[:, 1:].astype(float) @ ctx.pot_regain
-    pot = beam.pot_total[ppos] - ctx.pot_drop[tgt] + regain[ppos, tgt]
-    score = -cost if ctx.config.policy.ranks_by_cost else heat + pot
+    if ctx.config.policy.ranks_by_cost:
+        score = -cost
+    else:
+        regain = beam.visited[:, 1:].astype(float) @ ctx.pot_regain
+        score = beam.score[ppos] + ctx.step_score[cur, col] + regain[ppos, tgt]
     return Candidates(ppos, beam.slots[ppos], tgt, col, groups[ppos] * np.int64(n) + tgt,
-                      cost, heat, pot, score, extra)
+                      cost, score, extra)
 
 
 def expand_tsp(beam: Beam, groups: np.ndarray, ctx: _Context) -> Candidates:
@@ -340,26 +333,23 @@ def backtrack(trace: list[tuple[np.ndarray, np.ndarray]], winning_slot: int) -> 
 def _init_beam(ctx: _Context) -> Beam:
     kind = ctx.instance.kind
     visited = np.zeros((1, ctx.n), dtype=bool)
+    visited[0, list(initial_visited(kind))] = True
     extra: np.ndarray | None = None
     if kind == ProblemKind.VRP:
         extra = np.array([float(ctx.instance.capacity)])
-    else:
-        visited[0, DEPOT] = True
-        if kind == ProblemKind.TSPTW:
-            extra = np.array([0.0])
-    total = ctx.start_potential.total
-    score = -0.0 if ctx.config.policy.ranks_by_cost else total
-    return Beam(np.zeros(1), np.full(1, DEPOT, dtype=np.int64), np.zeros(1),
-                np.array([total]), np.array([score]), visited, extra,
-                np.zeros(1, dtype=np.int64))
+    elif kind == ProblemKind.TSPTW:
+        extra = np.array([0.0])
+    score = -0.0 if ctx.config.policy.ranks_by_cost else ctx.start_potential.total
+    return Beam(np.zeros(1), np.full(1, DEPOT, dtype=np.int64), np.array([score]),
+                visited, extra, np.zeros(1, dtype=np.int64))
 
 
 def _next_beam(beam: Beam, cand: Candidates) -> Beam:
     # cand holds fresh arrays from select_top_b, so the beam takes them over.
     visited = beam.visited[cand.parent_pos]
     visited[np.arange(len(cand)), cand.target] = True
-    return Beam(cand.cost, cand.target, cand.heat, cand.pot, cand.score, visited,
-                cand.extra, np.arange(len(cand), dtype=np.int64))
+    return Beam(cand.cost, cand.target, cand.score, visited, cand.extra,
+                np.arange(len(cand), dtype=np.int64))
 
 
 def effective_heatmap(instance: Instance, heatmap: Heatmap | None,

@@ -55,6 +55,7 @@ def perturbed_tsptw(n, seed, max_window, shrink):
     return Instance(ProblemKind.TSPTW, base.coords, time_windows=tw)
 
 
+@pytest.mark.slow
 def test_01_full_beam_tsp_exactness():
     """B = n * 2^n explores every DP state: the beam must be exact."""
     mismatches, solves = 0, 0
@@ -135,6 +136,7 @@ def test_04_dominance_pruning_matches_naive_oracle():
            f"{bad} batch mismatches")
 
 
+@pytest.mark.slow
 def test_05_beam_monotonicity():
     """Mean cost over 100 TSP50 instances non-increasing in beam size.
 
@@ -170,6 +172,7 @@ def test_05_beam_monotonicity():
               if broken else ""))
 
 
+@pytest.mark.slow
 def test_06_dominance_improves_over_plain_beam_search():
     on, off = [], []
     for seed in range(100):

@@ -3,7 +3,8 @@ import json
 import numpy as np
 import pytest
 
-from routedp import generate_tsp, generate_tsptw, read_instance, replay, write_instance
+from routedp import (generate_tsp, generate_tsptw, generate_vrp, read_instance, replay,
+                     write_instance)
 from routedp import cli
 from routedp.cli import main
 
@@ -153,6 +154,40 @@ class TestSolveCommand:
                    str(tmp_path / "nope"), "--beam-size", "4"])
         assert rc == 2
         assert "error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("bad", [
+        '{"problem": "vrp", "coords": [[0,0],[1,1]], "demands": [0,1], "capacity": "5"}',
+        '{"problem": "tsptw", "coords": [[0,0],[1,1]], "time_windows": [1, 2]}',
+    ])
+    def test_wrongly_typed_instance_is_an_error_row(self, tmp_path, bad):
+        d = write_tsp_dir(tmp_path, count=1)
+        (d / "bad.json").write_text(bad)
+        out = tmp_path / "out"
+        rc = main(["solve", "--instances", str(d), "--beam-size", "8", "--out", str(out)])
+        assert rc == 1
+        rows = {r["instance"]: r for r in read_report(out)}
+        assert rows.keys() == {"bad", "tsp8_0000"}
+        assert "bad.json" in rows["bad"]["error"]
+        assert rows["tsp8_0000"]["error"] == "" and float(rows["tsp8_0000"]["cost"]) > 0
+
+    @pytest.mark.parametrize("command", ["solve", "bench"])
+    def test_problem_mismatch_is_an_error_row(self, tmp_path, command):
+        d = write_tsp_dir(tmp_path, count=1)
+        write_instance(generate_vrp(8, seed=0), d / "vrp8_0000.json")
+        out = tmp_path / "out"
+        sizes = ["--beam-size", "8"] if command == "solve" else ["--beam-sizes", "8"]
+        rc = main([command, "--problem", "vrp", "--instances", str(d), *sizes,
+                   "--out", str(out)])
+        if command == "solve":
+            assert rc == 1
+            errors = {r["instance"]: r["error"] for r in read_report(out)}
+        else:
+            rows = (out / "bench_rows.csv").read_text().strip().splitlines()[1:]
+            errors = {r.split(",")[1]: r.split(",")[-1] for r in rows}
+        assert errors["vrp8_0000"] == ""
+        assert "tsp8_0000.json" in errors["tsp8_0000"]
+        assert "problem tsp" in errors["tsp8_0000"]
+        assert "--problem vrp" in errors["tsp8_0000"]
 
     def test_engine_error_becomes_error_row(self, tmp_path, monkeypatch):
         d = write_tsp_dir(tmp_path, count=3)

@@ -73,6 +73,20 @@ class TestReplay:
         assert sim.potential is not None
         assert sim.score == pytest.approx(sim.heat + sim.potential.total, abs=1e-12)
 
+    def test_vrp_heat_counts_direct_and_via_moves(self):
+        from routedp import build_policy_tables, cost_heatmap, symmetrize
+        inst = generate_vrp(8, seed=0)
+        n = inst.n
+        tables = build_policy_tables(symmetrize(cost_heatmap(inst.cost_matrix())),
+                                     inst.cost_matrix(), inst.kind)
+        # via the depot to 7, direct to 4, via the depot to 2, direct to 5
+        sim = replay(inst, [n + 7, 4, n + 2, 5], tables=tables)
+        assert sim.feasible
+        want = (tables.via_depot_heat[0, 7] + tables.heat[7, 4]
+                + tables.via_depot_heat[4, 2] + tables.heat[2, 5])
+        assert tables.heat[7, 4] > 0.5
+        assert sim.heat == pytest.approx(want, abs=1e-12)
+
 
 class TestDecodeRoutes:
     def test_tsp_single_route(self):

@@ -194,6 +194,22 @@ class TestInstanceIO:
         with pytest.raises(InstanceFormatError, match="line 2"):
             read_instance(path)
 
+    @pytest.mark.parametrize("body,match", [
+        ('{"problem": "vrp", "coords": [[0,0],[1,1]], "demands": [0,1], "capacity": "5"}',
+         "capacity"),
+        ('{"problem": "tsptw", "coords": [[0,0],[1,1]], "time_windows": [1, 2]}',
+         "time_windows"),
+        ('{"problem": "tsptw", "coords": [[0,0],[1,1]], "time_windows": [[0], [0, 1]]}',
+         "time_windows"),
+        ('{"problem": "tsp", "coords": {"x": 1}}', "bad.json"),
+    ])
+    def test_wrongly_typed_field_is_reported(self, tmp_path, body, match):
+        path = tmp_path / "bad.json"
+        path.write_text(body)
+        with pytest.raises(InstanceFormatError, match=match) as err:
+            read_instance(path)
+        assert str(path) in str(err.value)
+
     def test_unknown_problem_rejected(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text('{"problem": "mstp", "coords": [[0,0],[1,1]]}')

@@ -39,8 +39,7 @@ def beam_from_rows(ctx, rows):
         visited[i, sorted(vis)] = True
         current[i], cost[i] = cur, c
     pot = [initial_potential(ctx.tables, vis) for vis, _, _ in rows]
-    return Beam(cost, current, np.zeros(m), np.array([p.total for p in pot]),
-                np.array([p.total for p in pot]), visited, None,
+    return Beam(cost, current, np.array([p.total for p in pot]), visited, None,
                 np.arange(m, dtype=np.int64))
 
 
@@ -192,29 +191,66 @@ class TestExpansion:
         assert sorted(kept_via.tolist()) == sorted(set(via_states.tolist()))
 
 
-class TestPotential:
+class TestExactScore:
     @pytest.mark.parametrize("generate", [generate_tsp, generate_vrp, generate_tsptw])
-    def test_candidate_potential_matches_from_scratch(self, generate, monkeypatch):
-        # Every candidate of a full beam carries the potential of its
-        # parent's visited set plus its target, recomputed from scratch.
-        seen = []
-        for name in ("expand_tsp", "expand_vrp", "expand_tsptw"):
-            def record(beam, groups, ctx, *args, _expand=getattr(solver, name)):
-                cand = _expand(beam, groups, ctx, *args)
-                seen.append((beam.visited, ctx.tables, cand))
-                return cand
-            monkeypatch.setattr(solver, name, record)
-        inst = generate(8, seed=3)
-        assert solve(inst, SolverConfig(beam_size=10**6, threshold=0.0)).found
-        assert len(seen) == inst.n - 1
-        want, worst = {}, 0.0
-        for visited, tables, cand in seen:
-            for p, t, pot in zip(cand.parent_pos, cand.target, cand.pot):
-                key = frozenset(np.flatnonzero(visited[p]).tolist()) | {int(t)}
-                if key not in want:
-                    want[key] = initial_potential(tables, set(key)).total
-                worst = max(worst, abs(pot - want[key]))
-        assert worst <= 1e-9
+    def test_selected_score_equals_replay(self, generate, monkeypatch):
+        # Every row a full beam selects carries, bit for bit, the score that
+        # replay recomputes from scratch for its backtracked action prefix.
+        selected, tables = [], []
+        next_beam, build_tables = solver._next_beam, solver.build_policy_tables
+        monkeypatch.setattr(solver, "_next_beam",
+                            lambda beam, cand: selected.append(cand) or next_beam(beam, cand))
+        monkeypatch.setattr(solver, "build_policy_tables",
+                            lambda *a, **k: tables.append(build_tables(*a, **k)) or tables[-1])
+        rows, differ = 0, []
+        for policy in (Policy.COST_HEAT_POTENTIAL, Policy.COST_HEAT):
+            for seed in range(3):
+                selected.clear()
+                tables.clear()
+                inst = generate(8, seed=seed)
+                config = SolverConfig(beam_size=10**6, policy=policy, threshold=0.0)
+                assert solve(inst, config).found
+                prefixes = [()]
+                for cand in selected:
+                    prefixes = [prefixes[s] + (int(a),)
+                                for s, a in zip(cand.parent_slot, cand.action)]
+                    for prefix, score in zip(prefixes, cand.score):
+                        rows += 1
+                        if score != replay(inst, prefix, tables=tables[0]).score:
+                            differ.append((policy.value, seed, prefix))
+        assert rows > 1000
+        assert not differ, f"{len(differ)} of {rows} rows differ, first {differ[0]}"
+
+
+class TestScoreGrid:
+    @pytest.mark.parametrize("generate", [generate_tsp, generate_vrp])
+    def test_tables_on_grid(self, generate):
+        ctx = make_context(generate(100, seed=0))
+        step = 2.0 ** -43  # q = 53 - ceil(log2(800))
+        t = ctx.tables
+        grids = [t.heat, t.w, t.delta, ctx.start_potential.p]
+        if t.via_depot_heat is not None:
+            grids.append(t.via_depot_heat)
+        for a in grids:
+            assert np.array_equal(np.rint(a / step) * step, a)
+            assert a.any()
+
+    def test_regain_independent_of_summation_order(self):
+        ctx = make_context(generate_tsp(100, seed=1))
+        rng = np.random.default_rng(0)
+        sets = rng.random((40, ctx.n)) < rng.random((40, 1))
+        visited = sets[rng.integers(0, 40, size=300)]
+        rows = visited[:, 1:].astype(float) @ ctx.pot_regain
+        per_row = np.array([v[1:].astype(float) @ ctx.pot_regain for v in visited])
+        uniq, inverse = np.unique(visited, axis=0, return_inverse=True)
+        per_group = (uniq[:, 1:].astype(float) @ ctx.pot_regain)[inverse.ravel()]
+        reversed_cols = visited[:, :0:-1].astype(float) @ ctx.pot_regain[::-1]
+        shuffled = np.array([sum((ctx.pot_regain[u] for u in
+                                  rng.permutation(np.flatnonzero(v[1:]))),
+                                 np.zeros(ctx.n)) for v in visited[:20]])
+        for other in (per_row, per_group, reversed_cols):
+            assert np.array_equal(rows, other)
+        assert np.array_equal(rows[:20], shuffled)
 
 
 class TestSelection:
@@ -224,7 +260,7 @@ class TestSelection:
         ids = np.arange(m, dtype=np.int64)
         return Candidates(ids, ids.copy(), ids.copy(), ids.copy(), ids.copy(),
                           np.array(costs if costs is not None else z, dtype=float),
-                          z.copy(), z.copy(), np.array(scores, dtype=float))
+                          np.array(scores, dtype=float))
 
     def test_top_k_by_score(self):
         out = select_top_b(self.make([3.0, 1.0, 2.0]), 2)

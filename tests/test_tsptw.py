@@ -35,8 +35,7 @@ def tsptw_beam(n, rows):
     current = np.array([cur for _, cur, _ in rows], dtype=np.int64)
     time = np.array([t for _, _, t in rows], dtype=float)
     zeros = np.zeros(m)
-    return Beam(zeros, current, zeros, zeros, zeros, visited, time,
-                np.arange(m, dtype=np.int64))
+    return Beam(zeros, current, zeros, visited, time, np.arange(m, dtype=np.int64))
 
 
 def expand_and_oracle(ctx, beam):
