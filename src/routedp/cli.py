@@ -1,13 +1,15 @@
 """Command-line front end: solve, generate, verify and bench subcommands.
 
-Exit codes: 0 success, 1 solver failure or verification mismatch, 2 usage
-error.  Reports are CSV (one header line, then rows ordered by instance
-id) or a JSON array with --json.
+Exit codes: 0 success, 1 an error row (solve, bench) or a verification
+mismatch, 2 usage error.  Reports are CSV (one header line, then rows
+ordered by instance id; fields holding commas are quoted) or a JSON array
+with --json.
 """
 
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import math
 import sys
@@ -45,12 +47,17 @@ class ReportRow:
     heatmap_time: float
     error: str | None = None
 
-    def csv(self) -> str:
+    def fields(self) -> list[str]:
         cost = "" if self.cost is None else repr(self.cost)
-        return ",".join([self.instance, cost, str(int(self.feasible)),
-                         str(self.beam_size), self.policy, self.sparsification,
-                         f"{self.solve_time:.6f}", f"{self.heatmap_time:.6f}",
-                         self.error or ""])
+        return [self.instance, cost, str(int(self.feasible)), str(self.beam_size),
+                self.policy, self.sparsification, f"{self.solve_time:.6f}",
+                f"{self.heatmap_time:.6f}", self.error or ""]
+
+
+def _write_csv(path: Path, rows) -> None:
+    """Rows as CSV; a field holding a comma or quote is quoted."""
+    with path.open("w", newline="", encoding="utf-8") as f:
+        csv.writer(f, lineterminator="\n").writerows(rows)
 
 
 @dataclass
@@ -81,8 +88,7 @@ class RunReport:
             path.write_text(json.dumps([asdict(r) for r in self.rows], indent=1),
                             encoding="utf-8")
         else:
-            lines = [",".join(REPORT_COLUMNS)] + [r.csv() for r in self.rows]
-            path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+            _write_csv(path, [REPORT_COLUMNS] + [r.fields() for r in self.rows])
 
     def summary(self) -> str:
         parts = [f"instances={len(self.rows)}"]
@@ -258,7 +264,7 @@ def cmd_bench(args) -> int:
     out = Path(args.out or ".")
     out.mkdir(parents=True, exist_ok=True)
     all_rows: list[tuple[str, ReportRow]] = []
-    summary_lines = ["config,mean_cost,mean_time"]
+    summary = [["config", "mean_cost", "mean_time"]]
     for config in configs:
         label = (f"B={config.beam_size}|{config.policy.value}|"
                  f"{_sparsification_label(config)}|dom="
@@ -268,14 +274,12 @@ def cmd_bench(args) -> int:
         costs = [r.cost for r in rows if r.cost is not None]
         mean_cost = sum(costs) / len(costs) if costs else math.nan
         mean_time = sum(r.solve_time for r in rows) / len(rows)
-        summary_lines.append(f"{label},{mean_cost!r},{mean_time:.6f}")
-    lines = ["config," + ",".join(REPORT_COLUMNS)]
-    lines += [f"{label},{row.csv()}" for label, row in all_rows]
-    (out / "bench_rows.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
-    (out / "bench_summary.csv").write_text("\n".join(summary_lines) + "\n",
-                                           encoding="utf-8")
-    print("\n".join(summary_lines))
-    return 0
+        summary.append([label, repr(mean_cost), f"{mean_time:.6f}"])
+    _write_csv(out / "bench_rows.csv", [["config"] + REPORT_COLUMNS]
+               + [[label] + row.fields() for label, row in all_rows])
+    _write_csv(out / "bench_summary.csv", summary)
+    print("\n".join(",".join(r) for r in summary))
+    return 0 if all(r.error is None for _, r in all_rows) else 1
 
 
 def _int_list(text: str) -> list[int]:

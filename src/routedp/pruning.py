@@ -28,6 +28,19 @@ def _dense_rank(x: np.ndarray) -> tuple[np.ndarray, int]:
     return rank, int(step[-1]) + 1
 
 
+def argsort_ties(key: np.ndarray, tie_keys: tuple[np.ndarray, ...]) -> np.ndarray:
+    """Row order by (key, *reversed(tie_keys), row index): one argsort, then a
+    lexsort of only the rows whose keys tie exactly, in row order."""
+    order = np.argsort(key)
+    ks = key[order]
+    eq = np.concatenate(([False], ks[1:] == ks[:-1], [False]))
+    tied = np.flatnonzero(eq[1:] | eq[:-1])   # positions equal to a neighbour
+    if tied.size:
+        rows = np.sort(order[tied])
+        order[tied] = rows[np.lexsort(tuple(t[rows] for t in tie_keys) + (key[rows],))]
+    return order
+
+
 def _order(state_id: np.ndarray, majors: tuple[np.ndarray, ...],
            tie_keys: tuple[np.ndarray, ...]) -> tuple[np.ndarray, list[np.ndarray]]:
     """Row order by (state, *majors, *reversed(tie_keys), row index) and the
@@ -40,16 +53,7 @@ def _order(state_id: np.ndarray, majors: tuple[np.ndarray, ...],
             key = _dense_rank(key)[0]
         key = key * k + rank
         ranks.append(rank)
-    order = np.argsort(key)
-    ks = key[order]
-    eq = np.flatnonzero(ks[1:] == ks[:-1])
-    if eq.size:
-        # Exact ties: only these rows go through lexsort, starting from row
-        # order so that a full tie keeps the earliest row first.
-        tied = np.union1d(eq, eq + 1)
-        rows = np.sort(order[tied])
-        order[tied] = rows[np.lexsort(tuple(t[rows] for t in tie_keys) + (key[rows],))]
-    return order, ranks
+    return argsort_ties(key, tie_keys), ranks
 
 
 def _state_starts(s: np.ndarray) -> np.ndarray:

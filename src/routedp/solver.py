@@ -21,9 +21,7 @@ from .decode import build_solution, initial_visited
 from .heatmaps import Heatmap, SparseGraph, cost_heatmap, sparsify_knn, sparsify_threshold, symmetrize
 from .instances import DEPOT, Instance, ProblemKind, Solution
 from .policy import Policy, PolicyTables, PotentialState, build_policy_tables, initial_potential
-from .pruning import prune_pareto_front, prune_single_best
-
-WORD_BITS = 64
+from .pruning import argsort_ties, prune_pareto_front, prune_single_best
 
 
 @dataclass(frozen=True)
@@ -58,13 +56,9 @@ class SolveResult:
 
 def pack_visited(mask: np.ndarray) -> np.ndarray:
     """Pack boolean visited rows into canonical little-endian 64-bit words."""
-    m, n = mask.shape
-    words = (n + WORD_BITS - 1) // WORD_BITS
-    bytes_ = np.packbits(mask, axis=1, bitorder="little")
-    pad = words * 8 - bytes_.shape[1]
-    if pad:
-        bytes_ = np.concatenate([bytes_, np.zeros((m, pad), dtype=np.uint8)], axis=1)
-    return bytes_.view("<u8")
+    words = np.zeros((mask.shape[0], -(-mask.shape[1] // 64) * 8), dtype=np.uint8)
+    words[:, :-(-mask.shape[1] // 8)] = np.packbits(mask, axis=1, bitorder="little")
+    return words.view("<u8")
 
 
 @dataclass
@@ -85,9 +79,7 @@ class Beam:
         return self.cost.shape[0]
 
     def permuted(self, perm: np.ndarray) -> "Beam":
-        return Beam(self.cost[perm], self.current[perm], self.score[perm], self.visited[perm],
-                    None if self.extra is None else self.extra[perm],
-                    self.slots[perm])
+        return Beam(*(None if v is None else v[perm] for v in vars(self).values()))
 
 
 def group_by_visited(beam: Beam) -> tuple[Beam, np.ndarray]:
@@ -125,10 +117,7 @@ class Candidates:
         return self.cost.shape[0]
 
     def take(self, idx: np.ndarray) -> "Candidates":
-        return Candidates(self.parent_pos[idx], self.parent_slot[idx],
-                          self.target[idx], self.action[idx], self.state_id[idx],
-                          self.cost[idx], self.score[idx],
-                          None if self.extra is None else self.extra[idx])
+        return Candidates(*(None if v is None else v[idx] for v in vars(self).values()))
 
 
 @dataclass
@@ -153,7 +142,8 @@ class _Context:
     # V.  So action a at node i, a move to t = a % n (see decode), gives
     #   child score = parent score + step_score[i, a] + sum_{u in V} pot_regain[u, t],
     # step_score[i, a] = heat of a - (start_potential.p[t] + sum_v delta[t, v]).
-    # The tables lie on the score grid (policy.py), so every sum is exact.
+    # The regain sum depends on V only, so it is taken once per visited-set
+    # group; the tables lie on the score grid (policy.py), so every sum is exact.
     @cached_property
     def step_score(self) -> np.ndarray:
         t = self.tables
@@ -176,8 +166,14 @@ class _Context:
         return self.instance.time_windows[:, 1:] - self.costs.T
 
 
-def _build_candidates(ctx: _Context, beam: Beam, groups: np.ndarray, ppos: np.ndarray,
-                      col: np.ndarray, extra: np.ndarray | None = None) -> Candidates:
+def _group_starts(groups: np.ndarray) -> np.ndarray:
+    """First row of each visited-set group."""
+    return np.searchsorted(groups, np.arange(groups[-1] + 1))
+
+
+def _build_candidates(ctx: _Context, beam: Beam, groups: np.ndarray, starts: np.ndarray,
+                      ppos: np.ndarray, col: np.ndarray,
+                      extra: np.ndarray | None = None) -> Candidates:
     """Candidates for the feasible edges (ppos[k], col[k]).
 
     The column is the action code: a move to node col % n, via the depot
@@ -195,18 +191,19 @@ def _build_candidates(ctx: _Context, beam: Beam, groups: np.ndarray, ppos: np.nd
         remcap = np.where(via, float(ctx.instance.capacity), beam.extra[ppos])
         extra = remcap - ctx.instance.demands[tgt]
     cost = start + ctx.costs[src, tgt]
+    state_id = groups[ppos] * np.int64(n) + tgt
     if ctx.config.policy.ranks_by_cost:
         score = -cost
     else:
-        regain = beam.visited[:, 1:].astype(float) @ ctx.pot_regain
-        score = beam.score[ppos] + ctx.step_score[cur, col] + regain[ppos, tgt]
-    return Candidates(ppos, beam.slots[ppos], tgt, col, groups[ppos] * np.int64(n) + tgt,
-                      cost, score, extra)
+        # Row g of regain belongs to group g, so its entry (g, t) sits at state_id.
+        regain = beam.visited[starts, 1:].astype(float) @ ctx.pot_regain
+        score = beam.score[ppos] + ctx.step_score[cur, col] + regain.ravel()[state_id]
+    return Candidates(ppos, beam.slots[ppos], tgt, col, state_id, cost, score, extra)
 
 
 def expand_tsp(beam: Beam, groups: np.ndarray, ctx: _Context) -> Candidates:
     ppos, tgt = np.nonzero(ctx.adj[beam.current] & ~beam.visited)
-    return _build_candidates(ctx, beam, groups, ppos, tgt)
+    return _build_candidates(ctx, beam, groups, _group_starts(groups), ppos, tgt)
 
 
 def expand_vrp(beam: Beam, groups: np.ndarray, ctx: _Context, step: int) -> Candidates:
@@ -225,12 +222,11 @@ def expand_vrp(beam: Beam, groups: np.ndarray, ctx: _Context, step: int) -> Cand
     # dominance_enabled is set to.
     has_ret = (beam.current == DEPOT) | ctx.adj[beam.current, DEPOT]
     ret = np.where(has_ret, beam.cost + ctx.costs[beam.current, DEPOT], np.inf)
-    group_starts = np.searchsorted(groups, np.arange(groups[-1] + 1))
-    group_min = np.minimum.reduceat(ret, group_starts)
-    eligible = has_ret & (ret == group_min[groups])
+    starts = _group_starts(groups)
+    eligible = has_ret & (ret == np.minimum.reduceat(ret, starts)[groups])
     feas[eligible, n:] = ctx.adj[DEPOT] & unvisited[eligible]
     ppos, col = np.nonzero(feas)
-    return _build_candidates(ctx, beam, groups, ppos, col)
+    return _build_candidates(ctx, beam, groups, starts, ppos, col)
 
 
 def expand_tsptw(beam: Beam, groups: np.ndarray, ctx: _Context) -> Candidates:
@@ -242,15 +238,15 @@ def expand_tsptw(beam: Beam, groups: np.ndarray, ctx: _Context) -> Candidates:
     # deadline u(1) in U_g bounds latest[g, v], so no j with fl(u_j - max c) > u(1)
     # is the minimum (+inf deadlines too).  Groups all have the same number of
     # unvisited nodes: fold the longest such prefix in deadline order, exactly.
-    first = np.searchsorted(groups, np.arange(groups[-1] + 1))
-    order = np.nonzero(~beam.visited[first][:, ctx.by_deadline])[1]
-    nodes = ctx.by_deadline[order.reshape(first.size, -1)]
+    starts = _group_starts(groups)
+    order = np.nonzero(~beam.visited[starts][:, ctx.by_deadline])[1]
+    nodes = ctx.by_deadline[order.reshape(starts.size, -1)]
     prefix = (hi[nodes] - ctx.costs.max() <= hi[nodes[:, :1]]).sum(axis=1).max(initial=0)
-    latest = np.full((first.size, ctx.n), np.inf)
+    latest = np.full((starts.size, ctx.n), np.inf)
     for j in nodes[:, :prefix].T:
         np.minimum(latest, ctx.slack_to[j], out=latest)
     ppos, tgt = np.nonzero(ctx.adj[beam.current] & ~beam.visited & (arrive <= latest[groups]))
-    return _build_candidates(ctx, beam, groups, ppos, tgt, extra=arrive[ppos, tgt])
+    return _build_candidates(ctx, beam, groups, starts, ppos, tgt, extra=arrive[ppos, tgt])
 
 
 def _prune_contested(cand: Candidates, groups: np.ndarray | None, kernel) -> Candidates:
@@ -300,21 +296,17 @@ def select_top_b(cand: Candidates, beam_size: int) -> Candidates:
     """Best beam_size candidates under the global total order.
 
     The order is score desc, cost asc, current (target) asc, parent slot
-    asc, action asc; survivors are returned in that order.
+    asc, action asc; it is strict, as (parent slot, action) names a
+    candidate.  Survivors are returned in that order, found by one argsort of
+    the scores that reach the beam_size-th best and a lexsort of exact ties.
     """
+    neg = -cand.score
     sel = np.arange(len(cand))
     if len(cand) > beam_size:
-        neg = -cand.score
-        kth = np.partition(neg, beam_size - 1)[beam_size - 1]
-        # At most beam_size - 1 scores beat the kth; ties at kth fill the rest.
-        sure = np.flatnonzero(neg < kth)
-        ties = np.flatnonzero(neg == kth)
-        t_order = np.lexsort((cand.action[ties], cand.parent_slot[ties],
-                              cand.target[ties], cand.cost[ties]))
-        sel = np.concatenate([sure, ties[t_order[:beam_size - sure.size]]])
-    order = np.lexsort((cand.action[sel], cand.parent_slot[sel], cand.target[sel],
-                        cand.cost[sel], -cand.score[sel]))
-    return cand.take(sel[order])
+        sel = np.flatnonzero(neg <= np.partition(neg, beam_size - 1)[beam_size - 1])
+    order = argsort_ties(neg[sel], (cand.action[sel], cand.parent_slot[sel],
+                                    cand.target[sel], cand.cost[sel]))
+    return cand.take(sel[order[:beam_size]])
 
 
 def backtrack(trace: list[tuple[np.ndarray, np.ndarray]], winning_slot: int) -> list[int]:

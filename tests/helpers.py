@@ -71,6 +71,12 @@ def random_candidate_groups(rng, n_states, with_ties=True):
     return state_id, cost, obj, action, parent_slot, score, is_direct
 
 
+def lexsort_top_b(score, cost, target, parent_slot, action, beam_size):
+    """Rows of the beam_size best candidates in the global order (score desc,
+    cost, target, parent slot, action), from one 5-key lexsort of every row."""
+    return np.lexsort((action, parent_slot, target, cost, -score))[:beam_size]
+
+
 def naive_latest(visited, deadlines, costs):
     """Latest arrival at each node v that keeps every other unvisited node
     reachable in time, one visited-set row at a time:

@@ -1,3 +1,4 @@
+import csv
 import json
 
 import numpy as np
@@ -17,10 +18,13 @@ def write_tsp_dir(tmp_path, count=3, n=8):
     return d
 
 
-def read_report(out_dir):
-    lines = (out_dir / "report.csv").read_text().strip().splitlines()
-    header = lines[0].split(",")
-    return [dict(zip(header, row.split(","))) for row in lines[1:]]
+def read_report(out_dir, name="report.csv"):
+    with (out_dir / name).open(newline="") as f:
+        return list(csv.DictReader(f))
+
+
+# read_instance's message for this file holds a comma.
+BAD_DEMANDS = '{"problem": "vrp", "coords": [[0,0],[1,1],[2,2]], "demands": [0,1], "capacity": 5}'
 
 
 class TestSolveCommand:
@@ -178,16 +182,29 @@ class TestSolveCommand:
         sizes = ["--beam-size", "8"] if command == "solve" else ["--beam-sizes", "8"]
         rc = main([command, "--problem", "vrp", "--instances", str(d), *sizes,
                    "--out", str(out)])
-        if command == "solve":
-            assert rc == 1
-            errors = {r["instance"]: r["error"] for r in read_report(out)}
-        else:
-            rows = (out / "bench_rows.csv").read_text().strip().splitlines()[1:]
-            errors = {r.split(",")[1]: r.split(",")[-1] for r in rows}
+        assert rc == 1
+        report = "report.csv" if command == "solve" else "bench_rows.csv"
+        errors = {r["instance"]: r["error"] for r in read_report(out, report)}
         assert errors["vrp8_0000"] == ""
         assert "tsp8_0000.json" in errors["tsp8_0000"]
         assert "problem tsp" in errors["tsp8_0000"]
         assert "--problem vrp" in errors["tsp8_0000"]
+
+    @pytest.mark.parametrize("command", ["solve", "bench"])
+    def test_comma_in_error_is_quoted(self, tmp_path, command):
+        d = write_tsp_dir(tmp_path, count=1)
+        (d / "bad.json").write_text(BAD_DEMANDS)
+        out = tmp_path / "out"
+        sizes = ["--beam-size", "8"] if command == "solve" else ["--beam-sizes", "8"]
+        assert main([command, "--instances", str(d), *sizes, "--out", str(out)]) == 1
+        report = "report.csv" if command == "solve" else "bench_rows.csv"
+        with (out / report).open(newline="") as f:
+            rows = list(csv.reader(f))
+        assert len(rows) == 3
+        assert len({len(r) for r in rows}) == 1
+        errors = {r["instance"]: r["error"] for r in read_report(out, report)}
+        assert errors["tsp8_0000"] == ""
+        assert errors["bad"].endswith("bad.json: demands must have length 3, got (2,)")
 
     def test_engine_error_becomes_error_row(self, tmp_path, monkeypatch):
         d = write_tsp_dir(tmp_path, count=3)
@@ -282,6 +299,16 @@ class TestBenchCommand:
         assert len(rows) == 4  # two comparable rows per instance
         assert sum("dom=on" in r for r in rows) == 2
         assert sum("dom=off" in r for r in rows) == 2
+
+    def test_malformed_instance_exit_1(self, tmp_path, capsys):
+        d = tmp_path / "instances"
+        d.mkdir()
+        (d / "bad.json").write_text(BAD_DEMANDS)
+        out = tmp_path / "bench"
+        rc = main(["bench", "--problem", "vrp", "--instances", str(d),
+                   "--beam-sizes", "4", "--out", str(out)])
+        assert rc == 1
+        assert "demands must have length 3" in read_report(out, "bench_rows.csv")[0]["error"]
 
     def test_directory_without_instances_exit_2(self, tmp_path, capsys):
         d = tmp_path / "empty"

@@ -2,8 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from helpers import naive_pareto
+from helpers import lexsort_top_b, naive_pareto
 from routedp import (DEPOT, Heatmap, Policy, ProblemKind, SolverConfig,
                      SparseGraph, brute_force, generate_tsp, generate_tsptw,
                      generate_vrp, replay, solve)
@@ -253,6 +254,47 @@ class TestScoreGrid:
         assert np.array_equal(rows[:20], shuffled)
 
 
+class TestGroupedRegain:
+    @pytest.mark.parametrize("generate", [generate_tsp, generate_vrp, generate_tsptw])
+    def test_scores_equal_per_row_matmul(self, generate, monkeypatch):
+        # Real grouped beams of a solve whose visited sets repeat: the regain
+        # taken once per group gives, bit for bit, the scores of the per-row
+        # visited @ pot_regain product.
+        calls, build = [], solver._build_candidates
+
+        def record(ctx, beam, *args, **kwargs):
+            calls.append((ctx, beam, build(ctx, beam, *args, **kwargs)))
+            return calls[-1][2]
+        monkeypatch.setattr(solver, "_build_candidates", record)
+        inst = generate(30, seed=3)
+        assert solve(inst, SolverConfig(beam_size=200, policy=Policy.COST_HEAT_POTENTIAL,
+                                        threshold=0.0)).found
+        shared = 0
+        for ctx, beam, cand in calls:
+            regain = beam.visited[:, 1:].astype(float) @ ctx.pot_regain
+            ppos = cand.parent_pos
+            want = (beam.score[ppos] + ctx.step_score[beam.current[ppos], cand.action]
+                    + regain[ppos, cand.target])
+            assert np.array_equal(cand.score, want)
+            shared += len(np.unique(beam.visited, axis=0)) < beam.width
+        assert shared > 10
+
+
+@st.composite
+def selection_rows(draw):
+    """Candidates with heavy score and cost ties, and a beam size below, at
+    or above their count; (parent slot, action) names each row."""
+    pairs = draw(st.lists(st.tuples(st.integers(0, 7), st.integers(0, 9)),
+                          max_size=40, unique=True))
+    m = len(pairs)
+    grid = lambda *v: np.array(draw(st.lists(st.sampled_from(v), min_size=m, max_size=m)))
+    score = grid(-1.0, -0.0, 0.0, 0.25, 1.0)
+    cost = grid(0.0, 0.5, 1.0)
+    slot = np.array([p for p, _ in pairs], dtype=np.int64)
+    action = np.array([a for _, a in pairs], dtype=np.int64)
+    return score, cost, slot, action, draw(st.integers(1, m + 2))
+
+
 class TestSelection:
     def make(self, scores, costs=None):
         m = len(scores)
@@ -278,6 +320,18 @@ class TestSelection:
         out = select_top_b(self.make([2.0, 1.0, 1.0, 1.0], costs=[0., 7., 5., 6.]), 2)
         assert out.score.tolist() == [2.0, 1.0]
         assert out.cost.tolist() == [0.0, 5.0]
+
+    @settings(max_examples=400, deadline=None)
+    @given(selection_rows())
+    @example((np.array([0.0, -0.0, 0.0, 1.0]), np.array([1.0, 0.0, 0.5, 1.0]),
+              np.array([0, 1, 2, 3]), np.array([4, 4, 4, 4]), 2))
+    def test_matches_five_key_lexsort(self, rows):
+        score, cost, slot, action, beam_size = rows
+        target = action % 4
+        cand = Candidates(np.arange(len(score)), slot, target, action, target.copy(),
+                          cost, score)
+        want = lexsort_top_b(score, cost, target, slot, action, beam_size)
+        assert np.array_equal(select_top_b(cand, beam_size).parent_pos, want)
 
 
 class TestSolveTSP:
