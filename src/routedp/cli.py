@@ -195,9 +195,9 @@ def _config_from_args(args, beam_size=None, policy=None, threshold=None,
 
 def cmd_solve(args) -> int:
     paths = _instance_paths(args.instances)
+    config = _config_from_args(args, threshold=args.threshold, knn=args.knn)
     if args.out:
         Path(args.out).mkdir(parents=True, exist_ok=True)
-    config = _config_from_args(args, threshold=args.threshold, knn=args.knn)
     refs = _load_ref_costs(args.ref_costs)   # a bad file fails before any solve
     rows = _run_solves(paths, args.problem, args.heatmap_dir, config, args.out, args.jobs)
     report = RunReport(rows, refs)

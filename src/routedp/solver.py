@@ -3,11 +3,11 @@
 One solve runs single-threaded: the beam for step t+1 is built from the
 top-B scoring non-dominated expansions of the beam at step t.  A step
 groups the beam by visited set, expands every entry along the sparse graph
-(feasibility only), prunes dominated candidates per DP state, selects the
-top B and builds the next beam; a candidate's score is its parent's plus
-terms read from per-solve tables and the parent's visited set.  Per-step
-(parent, action) records go to a trace from which the winning solution is
-backtracked and independently re-simulated before being returned.
+(feasibility only), prunes dominated candidates in the DP states that can
+reach the top B, selects the top B and builds the next beam; a candidate's
+score is its parent's plus terms read from per-solve tables and the
+parent's visited set.  Per-step (parent, action) records go to a trace from
+which the winning solution is backtracked and independently re-simulated.
 """
 
 from __future__ import annotations
@@ -38,6 +38,8 @@ class SolverConfig:
             raise ValueError("beam_size must be >= 1")
         if self.threshold is not None and self.knn is not None:
             raise ValueError("threshold and knn are mutually exclusive")
+        if self.knn is not None and self.knn < 1 or not 0 <= (self.threshold or 0) < 1:
+            raise ValueError("knn must be >= 1 and threshold must lie in [0, 1)")
         if self.threshold is None and self.knn is None:
             object.__setattr__(self, "threshold", 1e-5)
 
@@ -108,7 +110,7 @@ class Candidates:
     parent_slot: np.ndarray   # trace slot of the parent
     target: np.ndarray        # node being visited
     action: np.ndarray        # action code (decode.py)
-    state_id: np.ndarray
+    state_id: np.ndarray      # group * n + target, so >= 0
     cost: np.ndarray
     score: np.ndarray
     extra: np.ndarray | None = None   # remcap (VRP) / time (TSPTW)
@@ -249,13 +251,30 @@ def expand_tsptw(beam: Beam, groups: np.ndarray, ctx: _Context) -> Candidates:
     return _build_candidates(ctx, beam, groups, starts, ppos, tgt, extra=arrive[ppos, tgt])
 
 
-def _prune_contested(cand: Candidates, groups: np.ndarray | None, kernel) -> Candidates:
+def _prune_contested(cand: Candidates, groups: np.ndarray | None, kernel,
+                     beam_size: int | None = None) -> Candidates:
     """Survivors of kernel, a keep-mask function of candidate indices.
 
     Two candidates share a DP state only if their parents share a visited
     set, so when groups are given, candidates from singleton groups survive
-    without reaching the kernel.
+    without reaching the kernel.  Given beam_size B, only the states holding
+    one of the k best scores (k = 2B, 8B, ...) are pruned; once B of their
+    survivors reach the k-th score they are returned: dominance is decided
+    per state, so they are exact and hold the top B overall.  Every state is
+    pruned once 2k reaches the candidate count or the marked rows pass half.
     """
+    k = 2 * beam_size if beam_size else len(cand)
+    while 2 * k < len(cand):
+        bound = np.partition(cand.score, -k)[-k]
+        hot = np.zeros(cand.state_id.max() + 1, dtype=bool)
+        hot[cand.state_id[cand.score >= bound]] = True
+        rows = np.flatnonzero(hot[cand.state_id])
+        if 2 * rows.size > len(cand):
+            break
+        out = _prune_contested(cand.take(rows), groups, lambda i: kernel(rows[i]))
+        if np.count_nonzero(out.score >= bound) >= beam_size:
+            return out
+        k *= 4
     if groups is None:
         return cand.take(np.flatnonzero(kernel(slice(None))))
     idx = np.flatnonzero(np.bincount(groups)[groups[cand.parent_pos]] > 1)
@@ -272,24 +291,25 @@ def _tie_keys(cand: Candidates, i) -> tuple[np.ndarray, ...]:
     return (cand.parent_slot[i], -cand.score[i], -cand.action[i])
 
 
-def prune_tsp(cand: Candidates, groups: np.ndarray | None = None) -> Candidates:
+def prune_tsp(cand: Candidates, groups: np.ndarray | None = None,
+              beam_size: int | None = None) -> Candidates:
     """One minimum-cost candidate per DP state; exact ties go to the higher
-    score, then the lower parent slot."""
+    score, then the lower parent slot.  beam_size: see _prune_contested."""
     return _prune_contested(cand, groups, lambda i: prune_single_best(
-        cand.state_id[i], cand.cost[i], tie_keys=_tie_keys(cand, i)))
+        cand.state_id[i], cand.cost[i], tie_keys=_tie_keys(cand, i)), beam_size)
 
 
-def prune_capacity_time(cand: Candidates, objective: np.ndarray,
-                        groups: np.ndarray | None = None) -> Candidates:
+def prune_capacity_time(cand: Candidates, objective: np.ndarray, groups: np.ndarray | None = None,
+                        beam_size: int | None = None) -> Candidates:
     """Exact Pareto front per DP state over cost (min) and objective (max).
 
     For VRP pass the remaining capacity and no groups: direct and via-depot
     moves from one parent share states.  For TSPTW pass negated time and the
     parent groups.  Exact ties go to via-depot moves first, then the higher
-    score, then the lower parent slot.
+    score, then the lower parent slot.  beam_size: see _prune_contested.
     """
     return _prune_contested(cand, groups, lambda i: prune_pareto_front(
-        cand.state_id[i], cand.cost[i], objective[i], tie_keys=_tie_keys(cand, i)))
+        cand.state_id[i], cand.cost[i], objective[i], tie_keys=_tie_keys(cand, i)), beam_size)
 
 
 def select_top_b(cand: Candidates, beam_size: int) -> Candidates:
@@ -412,11 +432,11 @@ def solve(
 
         if config.dominance_enabled:
             if kind == ProblemKind.TSP:
-                cand = prune_tsp(cand, groups)
+                cand = prune_tsp(cand, groups, config.beam_size)
             elif kind == ProblemKind.VRP:
-                cand = prune_capacity_time(cand, cand.extra)
+                cand = prune_capacity_time(cand, cand.extra, beam_size=config.beam_size)
             else:
-                cand = prune_capacity_time(cand, -cand.extra, groups)
+                cand = prune_capacity_time(cand, -cand.extra, groups, config.beam_size)
 
         cand = select_top_b(cand, config.beam_size)
         trace.append((cand.parent_slot, cand.action))

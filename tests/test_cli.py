@@ -153,6 +153,20 @@ class TestSolveCommand:
                   "--beam-size", "4", "--threshold", "0.1", "--knn", "3"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("flag, msg", [
+        (["--knn", "0"], "knn must be >= 1"),
+        (["--threshold", "-1"], "threshold must lie in [0, 1)"),
+        (["--threshold", "2"], "threshold must lie in [0, 1)"),
+    ])
+    def test_invalid_sparsification_exit_2_before_solving(self, tmp_path, capsys, flag, msg):
+        d = write_tsp_dir(tmp_path, count=1)
+        out = tmp_path / "out"
+        rc = main(["solve", "--problem", "tsp", "--instances", str(d),
+                   "--beam-size", "4", "--out", str(out)] + flag)
+        assert rc == 2
+        assert msg in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_instances_path_exit_2(self, tmp_path, capsys):
         rc = main(["solve", "--problem", "tsp", "--instances",
                    str(tmp_path / "nope"), "--beam-size", "4"])
@@ -289,6 +303,20 @@ class TestBenchCommand:
         assert len(summary) == 1 + 4  # 2 beam sizes x 2 policies
         rows = (out / "bench_rows.csv").read_text().strip().splitlines()
         assert len(rows) == 1 + 4 * 2  # per config per instance
+
+    @pytest.mark.parametrize("flag, msg", [
+        (["--knns", "0"], "knn must be >= 1"),
+        (["--thresholds", "-1"], "threshold must lie in [0, 1)"),
+        (["--thresholds", "0.1,2"], "threshold must lie in [0, 1)"),
+    ])
+    def test_invalid_sparsification_exit_2_before_solving(self, tmp_path, capsys, flag, msg):
+        d = write_tsp_dir(tmp_path, count=1)
+        out = tmp_path / "bench"
+        rc = main(["bench", "--problem", "tsp", "--instances", str(d),
+                   "--beam-sizes", "4", "--out", str(out)] + flag)
+        assert rc == 2
+        assert msg in capsys.readouterr().err
+        assert not out.exists()
 
     def test_dominance_ablation_rows(self, tmp_path):
         d = write_tsp_dir(tmp_path, count=2)

@@ -2,11 +2,11 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from helpers import lexsort_top_b, naive_pareto
 from routedp import (DEPOT, Heatmap, Policy, ProblemKind, SolverConfig,
-                     SparseGraph, brute_force, generate_tsp, generate_tsptw,
+                     SparseGraph, brute_force, exact_dp, generate_tsp, generate_tsptw,
                      generate_vrp, replay, solve)
 from routedp import solver
 from routedp.instances import Instance
@@ -334,6 +334,109 @@ class TestSelection:
         assert np.array_equal(select_top_b(cand, beam_size).parent_pos, want)
 
 
+@st.composite
+def pruning_candidates(draw):
+    """Engine-shaped candidates: parents in visited-set groups, few DP states
+    with many rows each, scores and costs on tiny grids so exact ties abound.
+    (parent, action) names each row; rows come in (parent, action) order."""
+    n, via = 3, draw(st.booleans())
+    sizes = draw(st.lists(st.integers(1, 4), min_size=1, max_size=3))
+    groups = np.repeat(np.arange(len(sizes)), sizes)
+    pairs = sorted(draw(st.lists(st.tuples(st.integers(0, groups.size - 1),
+                                           st.integers(0, (2 if via else 1) * n - 1)),
+                                 min_size=1, max_size=40, unique=True)))
+    m = len(pairs)
+    grid = lambda *v: np.array(draw(st.lists(st.sampled_from(v), min_size=m, max_size=m)))
+    ppos = np.array([p for p, _ in pairs], dtype=np.int64)
+    action = np.array([a for _, a in pairs], dtype=np.int64)
+    slots = np.array(draw(st.permutations(range(groups.size))), dtype=np.int64)
+    cand = Candidates(ppos, slots[ppos], action % n, action, groups[ppos] * n + action % n,
+                      grid(0.0, 0.5, 1.0), grid(-1.0, 0.0, 0.25, 1.0), grid(0.0, 1.0, 2.0))
+    return cand, groups
+
+
+def assert_same_candidates(got, want):
+    for name, value in vars(want).items():
+        np.testing.assert_array_equal(getattr(got, name), value, err_msg=name)
+
+
+def prune_both(cand, groups, beam_size=None):
+    """Survivors of both kernels, with and without parent groups."""
+    return [prune_tsp(cand, groups, beam_size), prune_tsp(cand, None, beam_size),
+            prune_capacity_time(cand, cand.extra, None, beam_size),
+            prune_capacity_time(cand, -cand.extra, groups, beam_size)]
+
+
+class TestScoreCut:
+    """With a beam_size, pruning only the DP states that hold the best scores
+    must leave select_top_b's result unchanged."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(pruning_candidates())
+    def test_top_b_unchanged_for_every_beam_size(self, case):
+        cand, groups = case
+        full = prune_both(cand, groups)
+        for beam_size in range(1, len(cand) + 1):
+            for got, want in zip(prune_both(cand, groups, beam_size), full):
+                assert_same_candidates(select_top_b(got, beam_size),
+                                       select_top_b(want, beam_size))
+
+    @staticmethod
+    def dominated_top(singletons, filler):
+        """State 0 holds the two best scores, both dominated by its cheap,
+        low-scoring third row, plus filler rows that score 0; every other
+        state is one row scoring 2 to 6.75."""
+        state = np.concatenate((np.zeros(3 + filler, dtype=np.int64),
+                                np.arange(1, singletons + 1)))
+        score = np.concatenate(([10.0, 9.0, 1.0], np.zeros(filler),
+                                2.0 + 0.25 * np.arange(singletons)))
+        cost = np.concatenate(([5.0, 5.0, 1.0], np.full(filler, 5.0), np.ones(singletons)))
+        extra = np.concatenate(([0.0, 0.0, 1.0], np.zeros(filler + singletons)))
+        ids = np.arange(state.size, dtype=np.int64)
+        return Candidates(ids, ids.copy(), state.copy(), ids.copy(), state, cost, score, extra)
+
+    @pytest.mark.parametrize("singletons, filler, kernel_sizes", [
+        (20, 0, [3, 9]),    # k = 2 marks state 0 alone; k = 8 adds six states
+        (10, 0, [3, 13]),   # 2k = 16 reaches the 13 candidates: every state
+        (20, 20, [43]),     # state 0 holds over half the candidates: every state
+    ])
+    @pytest.mark.parametrize("pareto", [False, True])
+    def test_dominated_top_scores_widen_the_cut(self, singletons, filler, kernel_sizes,
+                                                pareto, monkeypatch):
+        cand = self.dominated_top(singletons, filler)
+        name = "prune_pareto_front" if pareto else "prune_single_best"
+        kernel, sizes = getattr(solver, name), []
+        monkeypatch.setattr(solver, name, lambda state, *a, **k: (
+            sizes.append(len(state)), kernel(state, *a, **k))[1])
+        prune = ((lambda c, b=None: prune_capacity_time(c, c.extra, beam_size=b)) if pareto
+                 else (lambda c, b=None: prune_tsp(c, beam_size=b)))
+        got = select_top_b(prune(cand, 1), 1)
+        assert sizes == kernel_sizes
+        assert_same_candidates(got, select_top_b(prune(cand), 1))
+        assert got.score.tolist() == [2.0 + 0.25 * (singletons - 1)]
+
+    @pytest.mark.parametrize("generate", [generate_tsp, generate_vrp, generate_tsptw])
+    def test_solves_equal_without_the_cut(self, generate, monkeypatch):
+        def solve_all():
+            return [solve(generate(n, seed=seed), SolverConfig(beam_size=b, threshold=0.0,
+                                                               policy=policy))
+                    for n in range(7, 11) for seed in range(2) for b in (1, 3, 8, 40)
+                    for policy in (Policy.COST_HEAT_POTENTIAL, Policy.COST)]
+
+        with_cut = solve_all()
+        tsp, pareto = solver.prune_tsp, solver.prune_capacity_time
+        monkeypatch.setattr(solver, "prune_tsp",
+                            lambda cand, groups=None, beam_size=None: tsp(cand, groups))
+        monkeypatch.setattr(solver, "prune_capacity_time",
+                            lambda cand, obj, groups=None, beam_size=None:
+                            pareto(cand, obj, groups))
+        for got, want in zip(with_cut, solve_all()):
+            assert got.found == want.found and got.failed_at_step == want.failed_at_step
+            if want.found:
+                assert got.solution.actions == want.solution.actions
+                assert got.solution.cost == want.solution.cost
+
+
 class TestSolveTSP:
     def test_triangle_perimeter_any_beam(self):
         inst = Instance(ProblemKind.TSP,
@@ -455,6 +558,40 @@ class TestSolveVRP:
         assert len(res.solution.routes) == 2
 
 
+@st.composite
+def small_instances(draw, kind):
+    """TSP or VRP with 3-8 nodes on a coarse grid, so points and distances
+    coincide (but not all points); VRP demands 1-9 and a capacity from the
+    largest demand to the total."""
+    n = draw(st.integers(3, 8))
+    coords = np.array(draw(st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3)),
+                                    min_size=n, max_size=n)), dtype=float) / 3.0
+    assume(np.ptp(coords, axis=0).any())   # the cost heat needs two distinct points
+    if kind == ProblemKind.TSP:
+        return Instance(kind, coords)
+    demands = np.array([0] + draw(st.lists(st.integers(1, 9), min_size=n - 1,
+                                           max_size=n - 1)), dtype=float)
+    capacity = draw(st.integers(int(demands.max()), int(demands.sum())))
+    return Instance(kind, coords, demands=demands, capacity=float(capacity))
+
+
+@settings(max_examples=60, deadline=None)
+@given(inst=small_instances(ProblemKind.TSP), policy=st.sampled_from(list(Policy)))
+def test_full_beam_tsp_matches_exact_dp(inst, policy):
+    res = solve(inst, SolverConfig(beam_size=inst.n * 2**inst.n, threshold=0.0,
+                                   policy=policy))
+    assert res.found
+    assert abs(res.solution.cost - exact_dp(inst).optimal_cost) <= 1e-9
+
+
+@settings(max_examples=60, deadline=None)
+@given(inst=small_instances(ProblemKind.VRP), policy=st.sampled_from(list(Policy)))
+def test_full_beam_vrp_matches_exact_dp(inst, policy):
+    res = solve(inst, SolverConfig(beam_size=10**6, threshold=0.0, policy=policy))
+    assert res.found
+    assert abs(res.solution.cost - exact_dp(inst).optimal_cost) <= 1e-9
+
+
 class TestSolveTSPTW:
     def test_order_forcing_windows_greedy(self):
         # disjoint windows admit exactly one visiting order even at B = 1
@@ -495,6 +632,21 @@ class TestConfig:
     def test_knn_alone_leaves_threshold_unset(self):
         cfg = SolverConfig(beam_size=64, knn=8)
         assert (cfg.threshold, cfg.knn) == (None, 8)
+
+    @pytest.mark.parametrize("knn", [0, -3])
+    def test_knn_below_one_rejected(self, knn):
+        with pytest.raises(ValueError, match="knn must be >= 1"):
+            SolverConfig(beam_size=4, knn=knn)
+
+    @pytest.mark.parametrize("threshold", [-1.0, -1e-9, 1.0, 2.0, math.nan])
+    def test_threshold_outside_unit_interval_rejected(self, threshold):
+        with pytest.raises(ValueError, match=r"threshold must lie in \[0, 1\)"):
+            SolverConfig(beam_size=4, threshold=threshold)
+
+    def test_knn_at_or_above_n_stays_a_solve_error(self):
+        cfg = SolverConfig(beam_size=4, knn=8)
+        with pytest.raises(ValueError, match="k must lie"):
+            solve(generate_tsp(8, seed=0), cfg)
 
     def test_default_threshold_restored_when_both_unset(self):
         cfg = SolverConfig(beam_size=4, threshold=None, knn=None)
