@@ -90,13 +90,11 @@ def cost_heatmap(costs: np.ndarray, invert: bool = False) -> Heatmap:
     With invert=True each entry becomes 1 - h_ij instead, so short edges get
     high heat.  Entries equal to 1 are clamped below the open upper bound
     and the diagonal is forced to zero.  Directed, since row maxima differ.
+    A row of zeros (every point coincides with its node) gets h = 0.
     """
     costs = np.asarray(costs, dtype=float)
     row_max = costs.max(axis=1)
-    if np.any(row_max <= 0):
-        bad = int(np.argmax(row_max <= 0))
-        raise ValueError(f"row {bad} of the cost matrix has max 0 (coincident points)")
-    h = np.minimum(costs / row_max[:, None], _ONE_CLAMP)
+    h = np.minimum(costs / np.where(row_max > 0, row_max, 1.0)[:, None], _ONE_CLAMP)
     if invert:
         h = np.minimum(1.0 - h, _ONE_CLAMP)
     np.fill_diagonal(h, 0.0)

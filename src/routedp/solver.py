@@ -5,9 +5,10 @@ top-B scoring non-dominated expansions of the beam at step t.  A step
 groups the beam by visited set, expands every entry along the sparse graph
 (feasibility only), prunes dominated candidates in the DP states that can
 reach the top B, selects the top B and builds the next beam; a candidate's
-score is its parent's plus terms read from per-solve tables and the
-parent's visited set.  Per-step (parent, action) records go to a trace from
-which the winning solution is backtracked and independently re-simulated.
+score is its parent's plus terms read from per-solve tables and from a
+regain row per visited-set group, carried from step to step.  Per-step
+(parent, action) records go to a trace from which the winning solution is
+backtracked and independently re-simulated.
 """
 
 from __future__ import annotations
@@ -63,6 +64,12 @@ def pack_visited(mask: np.ndarray) -> np.ndarray:
     return words.view("<u8")
 
 
+def _take_rows(rows, idx: np.ndarray):
+    # Every per-row array indexed by idx; all rows share one regain table.
+    return replace(rows, **{k: v[idx] for k, v in vars(rows).items()
+                            if v is not None and k != "regain"})
+
+
 @dataclass
 class Beam:
     """Struct-of-arrays beam state; row order is the trace slot order.
@@ -75,13 +82,14 @@ class Beam:
     visited: np.ndarray        # (m, n) bool
     extra: np.ndarray | None   # remcap (VRP) / time (TSPTW)
     slots: np.ndarray          # trace slot of each row
+    origin: np.ndarray | None = None   # state_id of the candidate that made the row
+    regain: np.ndarray | None = None   # table of its parents' groups (_regain_table)
+
+    permuted = _take_rows
 
     @property
     def width(self) -> int:
         return self.cost.shape[0]
-
-    def permuted(self, perm: np.ndarray) -> "Beam":
-        return Beam(*(None if v is None else v[perm] for v in vars(self).values()))
 
 
 def group_by_visited(beam: Beam) -> tuple[Beam, np.ndarray]:
@@ -114,12 +122,12 @@ class Candidates:
     cost: np.ndarray
     score: np.ndarray
     extra: np.ndarray | None = None   # remcap (VRP) / time (TSPTW)
+    regain: np.ndarray | None = None  # table of the parents' groups (_regain_table)
+
+    take = _take_rows
 
     def __len__(self) -> int:
         return self.cost.shape[0]
-
-    def take(self, idx: np.ndarray) -> "Candidates":
-        return Candidates(*(None if v is None else v[idx] for v in vars(self).values()))
 
 
 @dataclass
@@ -144,8 +152,9 @@ class _Context:
     # V.  So action a at node i, a move to t = a % n (see decode), gives
     #   child score = parent score + step_score[i, a] + sum_{u in V} pot_regain[u, t],
     # step_score[i, a] = heat of a - (start_potential.p[t] + sum_v delta[t, v]).
-    # The regain sum depends on V only, so it is taken once per visited-set
-    # group; the tables lie on the score grid (policy.py), so every sum is exact.
+    # The regain sum depends on V only, so it is kept per visited-set group and
+    # carried to the children; the tables lie on the score grid (policy.py), so
+    # every sum is exact in any order.
     @cached_property
     def step_score(self) -> np.ndarray:
         t = self.tables
@@ -157,6 +166,14 @@ class _Context:
     def pot_regain(self) -> np.ndarray:
         d = self.tables.delta
         return (d + d.T)[1:]
+
+    # TSP scan: each node's neighbours other than node 0 in ascending order,
+    # padded with node 0, which a TSP beam has always visited; and their count.
+    @cached_property
+    def neighbours(self) -> tuple[np.ndarray, np.ndarray]:
+        adj = self.adj & (np.arange(self.n) != DEPOT)
+        order = np.argsort(~adj, axis=1, kind="stable")
+        return np.where(np.take_along_axis(adj, order, axis=1), order, DEPOT), adj.sum(axis=1)
 
     # TSPTW lookahead tables: nodes in deadline order, slack_to[j, v] = u_j - c_vj.
     @cached_property
@@ -194,17 +211,36 @@ def _build_candidates(ctx: _Context, beam: Beam, groups: np.ndarray, starts: np.
         extra = remcap - ctx.instance.demands[tgt]
     cost = start + ctx.costs[src, tgt]
     state_id = groups[ppos] * np.int64(n) + tgt
-    if ctx.config.policy.ranks_by_cost:
-        score = -cost
-    else:
-        # Row g of regain belongs to group g, so its entry (g, t) sits at state_id.
-        regain = beam.visited[starts, 1:].astype(float) @ ctx.pot_regain
-        score = beam.score[ppos] + ctx.step_score[cur, col] + regain.ravel()[state_id]
-    return Candidates(ppos, beam.slots[ppos], tgt, col, state_id, cost, score, extra)
+    # Row g of the table belongs to group g, so its entry (g, t) sits at state_id.
+    table = None if ctx.config.policy.ranks_by_cost else _regain_table(ctx, beam, starts)
+    score = -cost if table is None else (beam.score[ppos] + ctx.step_score[cur, col]
+                                         + table.ravel()[state_id])
+    return Candidates(ppos, beam.slots[ppos], tgt, col, state_id, cost, score, extra, table)
+
+
+def _regain_table(ctx: _Context, beam: Beam, starts: np.ndarray) -> np.ndarray:
+    """Per group, the regain sum over its visited set (see _Context): a row made
+    by state_id = g * n + t has group g's set plus t, so its group's row is row
+    g plus t's pot_regain row.  A beam without a parent table takes the product."""
+    if beam.regain is None:
+        return beam.visited[starts, 1:].astype(float) @ ctx.pot_regain
+    parent, target = np.divmod(beam.origin[starts], ctx.n)
+    table = np.take(beam.regain, parent, axis=0)
+    for i in range(0, len(table), 1024):   # in slices, to keep temporaries small
+        table[i:i + 1024] += ctx.pot_regain[target[i:i + 1024] - 1]
+    return table
 
 
 def expand_tsp(beam: Beam, groups: np.ndarray, ctx: _Context) -> Candidates:
-    ppos, tgt = np.nonzero(ctx.adj[beam.current] & ~beam.visited)
+    table, degree = ctx.neighbours
+    width = degree[beam.current].max()
+    if 4 * width < ctx.n:   # a sparse graph: scan the neighbour lists, not every node
+        cells = table[beam.current, :width]   # indices into beam.visited.ravel()
+        cells += np.arange(0, beam.visited.size, ctx.n)[:, None]
+        open_cells = cells[~beam.visited.ravel()[cells]]
+    else:
+        open_cells = np.flatnonzero(ctx.adj[beam.current] & ~beam.visited)
+    ppos, tgt = np.divmod(open_cells, ctx.n)
     return _build_candidates(ctx, beam, groups, _group_starts(groups), ppos, tgt)
 
 
@@ -227,7 +263,7 @@ def expand_vrp(beam: Beam, groups: np.ndarray, ctx: _Context, step: int) -> Cand
     starts = _group_starts(groups)
     eligible = has_ret & (ret == np.minimum.reduceat(ret, starts)[groups])
     feas[eligible, n:] = ctx.adj[DEPOT] & unvisited[eligible]
-    ppos, col = np.nonzero(feas)
+    ppos, col = np.divmod(np.flatnonzero(feas), 2 * n)
     return _build_candidates(ctx, beam, groups, starts, ppos, col)
 
 
@@ -247,8 +283,9 @@ def expand_tsptw(beam: Beam, groups: np.ndarray, ctx: _Context) -> Candidates:
     latest = np.full((starts.size, ctx.n), np.inf)
     for j in nodes[:, :prefix].T:
         np.minimum(latest, ctx.slack_to[j], out=latest)
-    ppos, tgt = np.nonzero(ctx.adj[beam.current] & ~beam.visited & (arrive <= latest[groups]))
-    return _build_candidates(ctx, beam, groups, starts, ppos, tgt, extra=arrive[ppos, tgt])
+    flat = np.flatnonzero(ctx.adj[beam.current] & ~beam.visited & (arrive <= latest[groups]))
+    ppos, tgt = np.divmod(flat, ctx.n)
+    return _build_candidates(ctx, beam, groups, starts, ppos, tgt, extra=arrive.ravel()[flat])
 
 
 def _prune_contested(cand: Candidates, groups: np.ndarray | None, kernel,
@@ -353,7 +390,7 @@ def _init_beam(ctx: _Context) -> Beam:
         extra = np.array([0.0])
     score = -0.0 if ctx.config.policy.ranks_by_cost else ctx.start_potential.total
     return Beam(np.zeros(1), np.full(1, DEPOT, dtype=np.int64), np.array([score]),
-                visited, extra, np.zeros(1, dtype=np.int64))
+                visited, extra, np.zeros(1, dtype=np.int32))
 
 
 def _next_beam(beam: Beam, cand: Candidates) -> Beam:
@@ -361,7 +398,7 @@ def _next_beam(beam: Beam, cand: Candidates) -> Beam:
     visited = beam.visited[cand.parent_pos]
     visited[np.arange(len(cand)), cand.target] = True
     return Beam(cand.cost, cand.target, cand.score, visited, cand.extra,
-                np.arange(len(cand), dtype=np.int64))
+                np.arange(len(cand), dtype=np.int32), cand.state_id, cand.regain)
 
 
 def effective_heatmap(instance: Instance, heatmap: Heatmap | None,
@@ -426,6 +463,7 @@ def solve(
             cand = expand_vrp(beam, groups, ctx, step)
         else:
             cand = expand_tsptw(beam, groups, ctx)
+        beam.regain = None   # cand holds this step's table; free the parents'
         if len(cand) == 0:
             return SolveResult(None, failed_at_step=step, steps=step,
                                max_beam_width=max_width)
@@ -439,7 +477,7 @@ def solve(
                 cand = prune_capacity_time(cand, -cand.extra, groups, config.beam_size)
 
         cand = select_top_b(cand, config.beam_size)
-        trace.append((cand.parent_slot, cand.action))
+        trace.append((cand.parent_slot, cand.action.astype(np.int32)))
         beam = _next_beam(beam, cand)
         max_width = max(max_width, beam.width)
 

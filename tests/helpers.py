@@ -107,3 +107,16 @@ def naive_tsptw_kept(visited, current, time, adj, costs, time_windows):
             if arrive <= hi[t] and arrive <= latest[r, t]:
                 kept.append((r, t, arrive))
     return kept
+
+
+def knn_heat(coords, k=10, top=0.9, decay=0.6, depot=1e-4):
+    """Synthetic sparse heat like a trained model's: each node gives heat
+    top * decay**r to its r-th nearest neighbour (r < k), symmetrized by max,
+    and every node keeps a faint depot edge so that a tour can always close."""
+    dist = np.sqrt(((coords[:, None, :] - coords[None, :, :]) ** 2).sum(axis=-1))
+    np.fill_diagonal(dist, np.inf)
+    nearest = np.argsort(dist, axis=1, kind="stable")[:, :k]
+    h = np.zeros(dist.shape)
+    h[np.arange(len(h))[:, None], nearest] = top * decay ** np.arange(k)
+    h[1:, 0] = np.maximum(h[1:, 0], depot)
+    return np.maximum(h, h.T)

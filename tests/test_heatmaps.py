@@ -90,9 +90,11 @@ class TestCostHeatmap:
         np.testing.assert_allclose(h.values[0], [0.0, 0.5, 1e-9])
         assert np.all(np.diag(h.values) == 0)
 
-    def test_coincident_points_rejected(self):
-        with pytest.raises(ValueError, match="row 0"):
-            cost_heatmap(np.zeros((3, 3)))
+    def test_coincident_points_give_zero_heat(self):
+        assert not cost_heatmap(np.zeros((3, 3))).values.any()
+        inverted = cost_heatmap(np.zeros((3, 3)), invert=True).values
+        assert np.array_equal(inverted > 0, ~np.eye(3, dtype=bool))
+        assert inverted.max() < 1
 
 
 class TestThresholdSparsification:

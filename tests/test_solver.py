@@ -1,10 +1,11 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import assume, example, given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from helpers import lexsort_top_b, naive_pareto
+from helpers import knn_heat, lexsort_top_b, naive_pareto
 from routedp import (DEPOT, Heatmap, Policy, ProblemKind, SolverConfig,
                      SparseGraph, brute_force, exact_dp, generate_tsp, generate_tsptw,
                      generate_vrp, replay, solve)
@@ -255,22 +256,20 @@ class TestScoreGrid:
 
 
 class TestGroupedRegain:
-    @pytest.mark.parametrize("generate", [generate_tsp, generate_vrp, generate_tsptw])
-    def test_scores_equal_per_row_matmul(self, generate, monkeypatch):
-        # Real grouped beams of a solve whose visited sets repeat: the regain
-        # taken once per group gives, bit for bit, the scores of the per-row
-        # visited @ pot_regain product.
+    # Real grouped beams of a solve whose visited sets repeat: the regain
+    # carried per group from step to step gives, bit for bit, the scores of
+    # the per-row visited @ pot_regain product.
+    def check_scores(self, monkeypatch, inst, config, heatmap=None):
         calls, build = [], solver._build_candidates
 
         def record(ctx, beam, *args, **kwargs):
-            calls.append((ctx, beam, build(ctx, beam, *args, **kwargs)))
+            carried = beam.regain is not None
+            calls.append((ctx, beam, build(ctx, beam, *args, **kwargs), carried))
             return calls[-1][2]
         monkeypatch.setattr(solver, "_build_candidates", record)
-        inst = generate(30, seed=3)
-        assert solve(inst, SolverConfig(beam_size=200, policy=Policy.COST_HEAT_POTENTIAL,
-                                        threshold=0.0)).found
+        assert solve(inst, config, heatmap=heatmap).found
         shared = 0
-        for ctx, beam, cand in calls:
+        for ctx, beam, cand, _ in calls:
             regain = beam.visited[:, 1:].astype(float) @ ctx.pot_regain
             ppos = cand.parent_pos
             want = (beam.score[ppos] + ctx.step_score[beam.current[ppos], cand.action]
@@ -278,6 +277,74 @@ class TestGroupedRegain:
             assert np.array_equal(cand.score, want)
             shared += len(np.unique(beam.visited, axis=0)) < beam.width
         assert shared > 10
+        assert all(carried for *_, carried in calls[1:])   # only step 0 takes the product
+
+    @pytest.mark.parametrize("generate", [generate_tsp, generate_vrp, generate_tsptw])
+    def test_scores_equal_per_row_matmul(self, generate, monkeypatch):
+        self.check_scores(monkeypatch, generate(30, seed=3), SolverConfig(
+            beam_size=200, policy=Policy.COST_HEAT_POTENTIAL, threshold=0.0))
+
+    def test_sparse_heat_scores_equal_per_row_matmul(self, monkeypatch):
+        # The paper's mode: a sparse 10-NN heatmap, on which expand_tsp scans
+        # the neighbour lists.
+        inst = generate_tsp(100, seed=4)
+        self.check_scores(monkeypatch, inst, SolverConfig(
+            beam_size=200, policy=Policy.HEAT_POTENTIAL, threshold=1e-5),
+            heatmap=Heatmap(knn_heat(inst.coords)))
+
+    @pytest.mark.parametrize("generate", [generate_tsp, generate_vrp, generate_tsptw])
+    def test_scores_without_dominance_equal_per_row_matmul(self, generate, monkeypatch):
+        self.check_scores(monkeypatch, generate(20, seed=5), SolverConfig(
+            beam_size=200, policy=Policy.COST_HEAT_POTENTIAL, threshold=0.0,
+            dominance_enabled=False))
+
+
+@st.composite
+def scan_cases(draw):
+    """A directed graph and a TSP beam on it.  Sparse graphs have 17-40
+    nodes, each isolated, joined only to the depot, or with up to 4 other
+    neighbours; otherwise the graph is complete.  Rows may sit at the depot."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    complete = draw(st.booleans())
+    n = draw(st.integers(2, 12) if complete else st.integers(17, 40))
+    if complete:
+        adj = ~np.eye(n, dtype=bool)
+    else:
+        adj = np.zeros((n, n), dtype=bool)
+        kinds = draw(st.lists(st.sampled_from(["isolated", "depot only", "neighbours"]),
+                              min_size=n, max_size=n))
+        for i, kind in enumerate(kinds):
+            if kind != "isolated":
+                adj[i, DEPOT] = True
+            if kind == "neighbours":
+                adj[i, rng.integers(1, n, size=rng.integers(1, 5))] = True
+        np.fill_diagonal(adj, False)
+    m = draw(st.integers(1, 30))
+    visited = rng.random((m, n)) < rng.random((m, 1))
+    visited[:, DEPOT] = True
+    current = np.array([rng.choice(np.flatnonzero(row)) for row in visited])
+    current[rng.random(m) < 0.2] = DEPOT
+    return adj, visited, current
+
+
+class TestNeighbourScan:
+    @settings(max_examples=300, deadline=None)
+    @given(case=scan_cases())
+    def test_pairs_equal_dense_mask(self, case):
+        adj, visited, current = case
+        n = adj.shape[0]
+        ctx = make_context(generate_tsp(n, seed=0),
+                           SolverConfig(beam_size=4, policy=Policy.COST, threshold=0.0))
+        ctx.adj = adj
+        m = len(current)
+        beam, groups = group_by_visited(Beam(np.zeros(m), current, np.zeros(m), visited,
+                                             None, np.arange(m, dtype=np.int32)))
+        cand = expand_tsp(beam, groups, ctx)
+        rows, targets = np.nonzero(adj[beam.current] & ~beam.visited)
+        assert np.array_equal(cand.parent_pos, rows)
+        assert np.array_equal(cand.target, targets)
+        if n > 12:   # every sparse graph takes the neighbour lists
+            assert 4 * ctx.neighbours[1][beam.current].max() < n
 
 
 @st.composite
@@ -561,12 +628,11 @@ class TestSolveVRP:
 @st.composite
 def small_instances(draw, kind):
     """TSP or VRP with 3-8 nodes on a coarse grid, so points and distances
-    coincide (but not all points); VRP demands 1-9 and a capacity from the
+    coincide (all of them, at times); VRP demands 1-9 and a capacity from the
     largest demand to the total."""
     n = draw(st.integers(3, 8))
     coords = np.array(draw(st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3)),
                                     min_size=n, max_size=n)), dtype=float) / 3.0
-    assume(np.ptp(coords, axis=0).any())   # the cost heat needs two distinct points
     if kind == ProblemKind.TSP:
         return Instance(kind, coords)
     demands = np.array([0] + draw(st.lists(st.integers(1, 9), min_size=n - 1,
@@ -590,6 +656,45 @@ def test_full_beam_vrp_matches_exact_dp(inst, policy):
     res = solve(inst, SolverConfig(beam_size=10**6, threshold=0.0, policy=policy))
     assert res.found
     assert abs(res.solution.cost - exact_dp(inst).optimal_cost) <= 1e-9
+
+
+@pytest.mark.parametrize("generate", [generate_tsp, generate_vrp, generate_tsptw])
+def test_full_beam_memory_not_sized_by_beam_size(generate):
+    # A full beam on 8 nodes holds a few hundred rows, so B = 10^6 (as in the
+    # benchmark's exactness smoke) must not reserve room for 10^6 of them.
+    config = SolverConfig(beam_size=10**6, policy=Policy.COST_HEAT_POTENTIAL, threshold=0.0)
+    inst = generate(8, seed=900)
+    tracemalloc.start()
+    try:
+        solve(inst, config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
+
+
+class TestCoincidentPoints:
+    @staticmethod
+    def instance(kind, n=5):
+        extra = {ProblemKind.VRP: dict(demands=np.array([0.0] + [1.0] * (n - 1)), capacity=2.0),
+                 ProblemKind.TSPTW: dict(time_windows=np.array([[0.0, math.inf]] * n))}
+        return Instance(kind, np.full((n, 2), 0.25), **extra.get(kind, {}))
+
+    @pytest.mark.parametrize("kind", list(ProblemKind))
+    @pytest.mark.parametrize("policy", [Policy.COST, Policy.HEAT_POTENTIAL])
+    def test_zero_cost_at_threshold_zero(self, kind, policy):
+        inst = self.instance(kind)
+        res = solve(inst, SolverConfig(beam_size=8, policy=policy, threshold=0.0))
+        assert res.found and res.solution.cost == 0.0 == exact_dp(inst).optimal_cost
+
+    @pytest.mark.parametrize("threshold", [1e-5, 0.5])
+    def test_no_exception_at_any_threshold(self, threshold):
+        # Every cost heat entry is 0, so a positive threshold leaves no edge.
+        for kind in ProblemKind:
+            for policy in Policy:
+                res = solve(self.instance(kind), SolverConfig(beam_size=8, policy=policy,
+                                                             threshold=threshold))
+                assert res.found or res.failed_at_step is not None
 
 
 class TestSolveTSPTW:
