@@ -172,8 +172,9 @@ def _solve_one(args: tuple) -> ReportRow:
 
 def _run_solves(paths, problem, heatmap_dir, config, out_dir, jobs: int) -> list[ReportRow]:
     work = [(p, problem, heatmap_dir, config, out_dir) for p in paths]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+    workers = min(jobs, len(work))   # a worker per instance at most
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_solve_one, work))
     else:
         rows = [_solve_one(w) for w in work]
@@ -358,6 +359,9 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     if getattr(args, "threshold", None) is not None and getattr(args, "knn", None) is not None:
         parser.error("--threshold and --knn are mutually exclusive")
+    for flag in ("jobs", "count"):
+        if getattr(args, flag, 1) < 1:
+            parser.error(f"--{flag} must be >= 1")
     try:
         return args.func(args)
     except (OSError, ValueError) as exc:

@@ -1,13 +1,14 @@
 """Vectorized per-state dominance pruning for expansion candidates.
 
 Candidates are flat numpy arrays; state_id identifies the DP state (set of
-visited nodes plus new current node).  Each kernel orders its candidates with
-one argsort over an int64 key that folds the dense rank of each major key
-(cost, then -objective) into the state id.  Only rows whose keys tie exactly
-are then reordered by a caller-supplied canonical ordering (tie_keys, minor
-to major; the earliest row first on a full tie), so the surviving set is
-fully deterministic and matches a naive pairwise oracle that uses the same
-tie rule.  The solver calls these kernels from its prune layer only.
+visited nodes plus new current node).  The one kernel, prune_pareto_front,
+orders its candidates with one argsort over an int64 key that folds the dense
+rank of each major key (cost, then -objective if given) into the state id.
+Only rows whose keys tie exactly are then reordered by a caller-supplied
+canonical ordering (tie_keys, minor to major; the earliest row first on a
+full tie), so the surviving set is fully deterministic and matches a naive
+pairwise oracle that uses the same tie rule.  The solver calls the kernel
+from its prune layer only.
 """
 
 from __future__ import annotations
@@ -56,48 +57,35 @@ def _order(state_id: np.ndarray, majors: tuple[np.ndarray, ...],
     return argsort_ties(key, tie_keys), ranks
 
 
-def _state_starts(s: np.ndarray) -> np.ndarray:
-    return np.concatenate(([True], s[1:] != s[:-1]))
-
-
-def prune_single_best(
-    state_id: np.ndarray,
-    cost: np.ndarray,
-    tie_keys: tuple[np.ndarray, ...] = (),
-) -> np.ndarray:
-    """Keep exactly one minimum-cost candidate per state (TSP dominance).
-
-    Returns a boolean keep-mask over the candidates.
-    """
-    keep = np.zeros(state_id.shape[0], dtype=bool)
-    if keep.size:
-        order, _ = _order(state_id, (cost,), tie_keys)
-        keep[order[_state_starts(state_id[order])]] = True
-    return keep
-
-
 def prune_pareto_front(
     state_id: np.ndarray,
     cost: np.ndarray,
-    objective: np.ndarray,
+    objective: np.ndarray | None = None,
     tie_keys: tuple[np.ndarray, ...] = (),
 ) -> np.ndarray:
     """Exact Pareto front per state over (cost minimized, objective maximized).
 
-    For VRP the objective is remaining capacity; for TSPTW pass negated
-    time.  Implemented as a cost-sorted sweep keeping a candidate iff its
-    objective strictly exceeds the running per-state maximum (the segmented
-    cumulative-max formulation), which with the canonical tie order yields
-    exactly the pairwise non-dominated set with one survivor per exact tie.
+    Returns a boolean keep-mask over the candidates.  For VRP the objective
+    is remaining capacity; for TSPTW pass negated time; with no objective
+    (TSP) the front is one minimum-cost candidate per state.  Implemented
+    as a cost-sorted sweep keeping a candidate iff its objective strictly
+    exceeds the running per-state maximum (the segmented cumulative-max
+    formulation), which with the canonical tie order yields exactly the
+    pairwise non-dominated set with one survivor per exact tie.
     """
     keep = np.zeros(state_id.shape[0], dtype=bool)
     if keep.size == 0:
         return keep
-    order, (_, neg_rank) = _order(state_id, (cost, -objective), tie_keys)
-    # The objective's rank sits below the state ordinal, so a running
-    # maximum over the combined key restarts at each state boundary.
-    k = int(neg_rank.max()) + 1
-    key = (np.cumsum(_state_starts(state_id[order])) - 1) * k + (k - 1 - neg_rank[order])
-    kept = np.concatenate(([True], key[1:] > np.maximum.accumulate(key)[:-1]))
+    majors = (cost,) if objective is None else (cost, -objective)
+    order, ranks = _order(state_id, majors, tie_keys)
+    states = state_id[order]
+    kept = np.concatenate(([True], states[1:] != states[:-1]))   # each state's first row
+    if objective is not None:
+        # The objective's rank sits below the state ordinal, so a running
+        # maximum over the combined key restarts at each state boundary.
+        neg_rank = ranks[1][order]
+        k = int(neg_rank.max()) + 1
+        key = (np.cumsum(kept) - 1) * k + (k - 1 - neg_rank)
+        kept = np.concatenate(([True], key[1:] > np.maximum.accumulate(key)[:-1]))
     keep[order[kept]] = True
     return keep

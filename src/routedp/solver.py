@@ -13,6 +13,7 @@ backtracked and independently re-simulated.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, replace
 from functools import cached_property
 
@@ -22,7 +23,7 @@ from .decode import build_solution, initial_visited
 from .heatmaps import Heatmap, SparseGraph, cost_heatmap, sparsify_knn, sparsify_threshold, symmetrize
 from .instances import DEPOT, Instance, ProblemKind, Solution
 from .policy import Policy, PolicyTables, PotentialState, build_policy_tables, initial_potential
-from .pruning import argsort_ties, prune_pareto_front, prune_single_best
+from .pruning import argsort_ties, prune_pareto_front
 
 
 @dataclass(frozen=True)
@@ -35,6 +36,15 @@ class SolverConfig:
     invert_cost_heat: bool = False
 
     def __post_init__(self) -> None:
+        if not isinstance(self.policy, Policy):
+            raise TypeError(f"policy must be a Policy, got {self.policy!r}")
+        for name in ("beam_size", "knn"):
+            value = getattr(self, name)
+            try:
+                if value is not None:
+                    operator.index(value)
+            except TypeError:
+                raise TypeError(f"{name} must be an integer, got {value!r}") from None
         if self.beam_size < 1:
             raise ValueError("beam_size must be >= 1")
         if self.threshold is not None and self.knn is not None:
@@ -244,15 +254,17 @@ def expand_tsp(beam: Beam, groups: np.ndarray, ctx: _Context) -> Candidates:
     return _build_candidates(ctx, beam, groups, _group_starts(groups), ppos, tgt)
 
 
-def expand_vrp(beam: Beam, groups: np.ndarray, ctx: _Context, step: int) -> Candidates:
+def expand_vrp(beam: Beam, groups: np.ndarray, ctx: _Context) -> Candidates:
     """Direct moves to customer j in column j, moves via the depot in n + j."""
     n = ctx.n
     unvisited = ~beam.visited
     unvisited[:, DEPOT] = False
     feas = np.zeros((beam.width, 2 * n), dtype=bool)
-    if step > 0:  # the first move leaves the depot, so it counts as via the depot
-        fits = ctx.instance.demands[None, :] <= beam.extra[:, None]
-        feas[:, :n] = ctx.adj[beam.current] & unvisited & fits
+    # Only the first step's row sits at the depot; its moves leave the depot,
+    # so they count as via the depot.
+    away = (beam.current != DEPOT)[:, None]
+    fits = ctx.instance.demands[None, :] <= beam.extra[:, None]
+    feas[:, :n] = ctx.adj[beam.current] & unvisited & fits & away
 
     # Per visited-set group, only parents with the cheapest return to the
     # depot can yield non-dominated via-depot moves: all of them then share
@@ -328,25 +340,20 @@ def _tie_keys(cand: Candidates, i) -> tuple[np.ndarray, ...]:
     return (cand.parent_slot[i], -cand.score[i], -cand.action[i])
 
 
-def prune_tsp(cand: Candidates, groups: np.ndarray | None = None,
-              beam_size: int | None = None) -> Candidates:
-    """One minimum-cost candidate per DP state; exact ties go to the higher
-    score, then the lower parent slot.  beam_size: see _prune_contested."""
-    return _prune_contested(cand, groups, lambda i: prune_single_best(
-        cand.state_id[i], cand.cost[i], tie_keys=_tie_keys(cand, i)), beam_size)
-
-
-def prune_capacity_time(cand: Candidates, objective: np.ndarray, groups: np.ndarray | None = None,
+def prune_capacity_time(cand: Candidates, objective: np.ndarray | None,
+                        groups: np.ndarray | None = None,
                         beam_size: int | None = None) -> Candidates:
     """Exact Pareto front per DP state over cost (min) and objective (max).
 
-    For VRP pass the remaining capacity and no groups: direct and via-depot
-    moves from one parent share states.  For TSPTW pass negated time and the
-    parent groups.  Exact ties go to via-depot moves first, then the higher
-    score, then the lower parent slot.  beam_size: see _prune_contested.
+    For TSP pass no objective (one minimum-cost candidate per state) and
+    for TSPTW negated time, each with the parent groups.  For VRP pass the
+    remaining capacity and no groups: direct and via-depot moves from one
+    parent share states.  Exact ties go to via-depot moves first, then the
+    higher score, then the lower parent slot.  beam_size: see _prune_contested.
     """
     return _prune_contested(cand, groups, lambda i: prune_pareto_front(
-        cand.state_id[i], cand.cost[i], objective[i], tie_keys=_tie_keys(cand, i)), beam_size)
+        cand.state_id[i], cand.cost[i], None if objective is None else objective[i],
+        tie_keys=_tie_keys(cand, i)), beam_size)
 
 
 def select_top_b(cand: Candidates, beam_size: int) -> Candidates:
@@ -450,6 +457,14 @@ def solve(
                                  use_potential=config.policy.uses_potential)
     ctx = _Context(instance, costs, graph.adj, tables, config)
 
+    # Per problem: the expander, the objective of the dominance front and
+    # whether pruning may skip singleton groups (see prune_capacity_time).
+    # Looked up per call, so that wrappers installed on this module are seen.
+    expand, objective, by_group = {
+        ProblemKind.TSP: (expand_tsp, lambda cand: None, True),
+        ProblemKind.VRP: (expand_vrp, lambda cand: cand.extra, False),
+        ProblemKind.TSPTW: (expand_tsptw, lambda cand: -cand.extra, True)}[kind]
+
     beam = _init_beam(ctx)
     trace: list[tuple[np.ndarray, np.ndarray]] = []
     visit_steps = n - 1
@@ -457,24 +472,15 @@ def solve(
 
     for step in range(visit_steps):
         beam, groups = group_by_visited(beam)
-        if kind == ProblemKind.TSP:
-            cand = expand_tsp(beam, groups, ctx)
-        elif kind == ProblemKind.VRP:
-            cand = expand_vrp(beam, groups, ctx, step)
-        else:
-            cand = expand_tsptw(beam, groups, ctx)
+        cand = expand(beam, groups, ctx)
         beam.regain = None   # cand holds this step's table; free the parents'
         if len(cand) == 0:
             return SolveResult(None, failed_at_step=step, steps=step,
                                max_beam_width=max_width)
 
         if config.dominance_enabled:
-            if kind == ProblemKind.TSP:
-                cand = prune_tsp(cand, groups, config.beam_size)
-            elif kind == ProblemKind.VRP:
-                cand = prune_capacity_time(cand, cand.extra, beam_size=config.beam_size)
-            else:
-                cand = prune_capacity_time(cand, -cand.extra, groups, config.beam_size)
+            cand = prune_capacity_time(cand, objective(cand), groups if by_group else None,
+                                       config.beam_size)
 
         cand = select_top_b(cand, config.beam_size)
         trace.append((cand.parent_slot, cand.action.astype(np.int32)))

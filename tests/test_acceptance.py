@@ -20,7 +20,7 @@ from routedp import (Policy, ProblemKind, SolverConfig, SparseGraph,
 from routedp.heatmaps import Heatmap, sparsify_threshold
 from routedp.instances import Instance
 from routedp.policy import build_policy_tables
-from routedp.pruning import prune_pareto_front, prune_single_best
+from routedp.pruning import prune_pareto_front
 from routedp.solver import build_graph, effective_heatmap
 
 ALL_POLICIES = list(Policy)
@@ -117,7 +117,7 @@ def test_04_dominance_pruning_matches_naive_oracle():
     for batch in range(50):
         # TSP-style: single minimum-cost survivor per state
         s, c, _, _, slot, score, _ = random_candidate_groups(rng, 20)
-        got = prune_single_best(s, c, tie_keys=(slot, -score))
+        got = prune_pareto_front(s, c, tie_keys=(slot, -score))
         if not np.array_equal(got, naive_single_best(s, c, slot, score)):
             bad += 1
         # VRP-style: cost/capacity Pareto front, via-depot preferred on ties

@@ -146,6 +146,43 @@ class TestSolveCommand:
             outs.append([(r["instance"], r["cost"]) for r in read_report(out)])
         assert outs[0] == outs[1]
 
+    @pytest.mark.parametrize("command", ["solve", "bench"])
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_jobs_below_one_exit_2(self, tmp_path, capsys, command, jobs):
+        d = write_tsp_dir(tmp_path, count=1)
+        sizes = ["--beam-size", "4"] if command == "solve" else ["--beam-sizes", "4"]
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--instances", str(d), *sizes, "--jobs", jobs,
+                  "--out", str(tmp_path / "out")])
+        assert exc.value.code == 2
+        assert "--jobs must be >= 1" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("count, workers", [(2, [2]), (1, [])], ids=["two", "one"])
+    def test_no_more_workers_than_instances(self, tmp_path, monkeypatch, count, workers):
+        started = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, work):
+                return map(fn, work)
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialPool)
+        d = write_tsp_dir(tmp_path, count=count)
+        rc = main(["solve", "--problem", "tsp", "--instances", str(d),
+                   "--beam-size", "4", "--jobs", "5000", "--out", str(tmp_path / "out")])
+        assert rc == 0
+        assert started == workers
+        assert len(read_report(tmp_path / "out")) == count
+
     def test_threshold_and_knn_conflict(self, tmp_path, capsys):
         d = write_tsp_dir(tmp_path, count=1)
         with pytest.raises(SystemExit) as exc:
@@ -254,6 +291,16 @@ class TestGenerateCommand:
         for name in files1:
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
+    @pytest.mark.parametrize("count", ["0", "-1"])
+    def test_count_below_one_exit_2(self, tmp_path, capsys, count):
+        out = tmp_path / "g"
+        with pytest.raises(SystemExit) as exc:
+            main(["generate", "--problem", "tsp", "--n", "5", "--count", count,
+                  "--out", str(out)])
+        assert exc.value.code == 2
+        assert "--count must be >= 1" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_vrp_capacity_in_files(self, tmp_path):
         out = tmp_path / "v"
         main(["generate", "--problem", "vrp", "--n", "100", "--count", "3",
@@ -270,6 +317,16 @@ class TestVerifyCommand:
         assert rc == 0
         assert out.count("PASS") == 3
         assert "3/3 passed" in out
+
+    @pytest.mark.parametrize("count", ["0", "-2"])
+    def test_count_below_one_exit_2(self, capsys, count):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--problem", "tsp", "--n", "5", "--count", count,
+                  "--beam-size", "4"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert "--count must be >= 1" in captured.err
+        assert "passed" not in captured.out
 
     def test_tiny_beam_failures_reported(self, capsys):
         # B = 1 greedy is not optimal on these seeds; the harness must say so

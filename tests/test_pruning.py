@@ -4,7 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 import routedp.pruning as pruning
 from helpers import naive_pareto, naive_single_best, random_candidate_groups
-from routedp.pruning import prune_pareto_front, prune_single_best
+from routedp.pruning import prune_pareto_front
 
 INT64_MAX = int(np.iinfo(np.int64).max)
 
@@ -40,12 +40,12 @@ def arrays(*rows):
 class TestSingleBest:
     def test_min_cost_wins(self):
         state, cost = arrays((0, 5.0), (0, 7.0))
-        keep = prune_single_best(state, cost)
+        keep = prune_pareto_front(state, cost)
         assert keep.tolist() == [True, False]
 
     def test_distinct_states_all_survive(self):
         state, cost = arrays((0, 5.0), (1, 7.0), (2, 1.0))
-        assert prune_single_best(state, cost).all()
+        assert prune_pareto_front(state, cost).all()
 
     def test_exact_tie_resolved_by_tie_keys(self):
         state = np.zeros(3, dtype=np.int64)
@@ -53,18 +53,18 @@ class TestSingleBest:
         slot = np.array([2, 0, 1])
         score = np.array([1.0, 1.0, 9.0])
         # higher score first, then lower slot: candidate 2 wins
-        keep = prune_single_best(state, cost, tie_keys=(slot, -score))
+        keep = prune_pareto_front(state, cost, tie_keys=(slot, -score))
         assert keep.tolist() == [False, False, True]
 
     def test_empty_input(self):
         e = np.empty(0, dtype=np.int64)
-        assert prune_single_best(e, np.empty(0)).shape == (0,)
+        assert prune_pareto_front(e, np.empty(0)).shape == (0,)
 
     def test_matches_naive_oracle(self):
         rng = np.random.default_rng(0)
         for trial in range(100):
             state, cost, _, _, slot, score, _ = random_candidate_groups(rng, 12)
-            got = prune_single_best(state, cost, tie_keys=(slot, -score))
+            got = prune_pareto_front(state, cost, tie_keys=(slot, -score))
             want = naive_single_best(state, cost, slot, score)
             np.testing.assert_array_equal(got, want)
 
@@ -123,7 +123,7 @@ class TestFoldedOrder:
         rng = np.random.default_rng(3)
         for trial in range(50):
             state, cost, _, _, slot, score, _ = candidates(rng, layout)
-            got = prune_single_best(state, cost, tie_keys=(slot, -score))
+            got = prune_pareto_front(state, cost, tie_keys=(slot, -score))
             np.testing.assert_array_equal(got, naive_single_best(state, cost, slot, score))
 
     @pytest.mark.parametrize("layout", sorted(STATE_LAYOUTS))
@@ -145,7 +145,7 @@ class TestFoldedOrder:
         calls = []
         rank = pruning._dense_rank
         monkeypatch.setattr(pruning, "_dense_rank", lambda x: calls.append(x.dtype) or rank(x))
-        assert prune_single_best(state, cost).tolist() == [False, True, False, True]
+        assert prune_pareto_front(state, cost).tolist() == [False, True, False, True]
         assert calls == [np.float64, np.int64]
         assert prune_pareto_front(state, cost, np.ones(4)).tolist() == [False, True, False, True]
 
@@ -156,14 +156,14 @@ class TestFoldedOrder:
             state, cost, obj, *_ = candidates(rng, layout)
             rows = np.arange(state.size)
             zeros = np.zeros(state.size)
-            np.testing.assert_array_equal(prune_single_best(state, cost),
+            np.testing.assert_array_equal(prune_pareto_front(state, cost),
                                           naive_single_best(state, cost, rows, zeros))
             np.testing.assert_array_equal(prune_pareto_front(state, cost, obj),
                                           naive_pareto(state, cost, obj, rows, zeros, zeros))
 
     def test_one_row(self):
         one = np.array([7], dtype=np.int64)
-        assert prune_single_best(one, np.array([2.0]), tie_keys=(one,)).tolist() == [True]
+        assert prune_pareto_front(one, np.array([2.0]), tie_keys=(one,)).tolist() == [True]
         assert prune_pareto_front(one, np.array([2.0]), np.array([1.0]),
                                   tie_keys=(one,)).tolist() == [True]
 
@@ -172,7 +172,7 @@ class TestFoldedOrder:
         state = np.full(5, 1 << 61, dtype=np.int64)
         cost = np.full(5, 2.5)
         want = [True, False, False, False, False]
-        assert prune_single_best(state, cost, tie_keys=tie_keys).tolist() == want
+        assert prune_pareto_front(state, cost, tie_keys=tie_keys).tolist() == want
         assert prune_pareto_front(state, cost, -cost, tie_keys=tie_keys).tolist() == want
 
 
@@ -193,8 +193,19 @@ def candidate_rows(draw):
 def test_kernels_match_oracles_property(rows):
     state, cost, obj, action, slot, score = rows
     np.testing.assert_array_equal(
-        prune_single_best(state, cost, tie_keys=(slot, -score)),
+        prune_pareto_front(state, cost, tie_keys=(slot, -score)),
         naive_single_best(state, cost, slot, score))
     np.testing.assert_array_equal(
         prune_pareto_front(state, cost, obj, tie_keys=(action, slot, -score)),
         naive_pareto(state, cost, obj, action, slot, score))
+
+
+@settings(max_examples=300, deadline=None)
+@given(candidate_rows())
+def test_no_objective_is_a_constant_objective_property(rows):
+    # TSP dominance is the Pareto front with no resource, i.e. a constant one.
+    state, cost, _, _, slot, score = rows
+    got = prune_pareto_front(state, cost, tie_keys=(slot, -score))
+    np.testing.assert_array_equal(
+        got, prune_pareto_front(state, cost, np.zeros_like(cost), tie_keys=(slot, -score)))
+    np.testing.assert_array_equal(got, naive_single_best(state, cost, slot, score))

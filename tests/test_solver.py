@@ -13,7 +13,7 @@ from routedp import solver
 from routedp.instances import Instance
 from routedp.solver import (Beam, Candidates, _Context, _init_beam, expand_tsp,
                             expand_vrp, group_by_visited, pack_visited,
-                            prune_capacity_time, prune_tsp, select_top_b,
+                            prune_capacity_time, select_top_b,
                             build_graph, effective_heatmap)
 from routedp.policy import build_policy_tables, initial_potential
 from routedp.heatmaps import cost_heatmap, symmetrize
@@ -146,7 +146,7 @@ class TestExpansion:
         ctx = make_context(inst)
         rows = [({0, 1, 2}, 1, 5.0), ({0, 1, 2}, 1, 7.0)]
         beam, groups = group_by_visited(beam_from_rows(ctx, rows))
-        cand = prune_tsp(expand_tsp(beam, groups, ctx), groups)
+        cand = prune_capacity_time(expand_tsp(beam, groups, ctx), None, groups)
         # states (visited + target) coincide pairwise: half survive
         assert len(cand) == 2
         per_target = {int(t): float(c) for t, c in zip(cand.target, cand.cost)}
@@ -164,6 +164,13 @@ class TestExpansion:
         beam, groups = group_by_visited(beam_from_rows(ctx, rows))
         assert len(expand_tsp(beam, groups, ctx)) == 0
 
+    def test_vrp_first_step_leaves_via_the_depot(self):
+        inst = generate_vrp(6, seed=0)
+        ctx = make_context(inst)
+        beam, groups = group_by_visited(_init_beam(ctx))
+        cand = expand_vrp(beam, groups, ctx)
+        assert sorted(cand.action.tolist()) == [inst.n + j for j in range(1, inst.n)]
+
     def test_vrp_via_depot_ties_pruned_to_pairwise_front(self):
         # Parents at nodes 1 and 2 share a visited set and return to the
         # depot at exactly equal cost, so their via-depot moves to each target
@@ -177,7 +184,7 @@ class TestExpansion:
         beam = beam_from_rows(ctx, [({1, 2}, 1, 5.0), ({1, 2}, 2, 5.0), ({1}, 1, 1.0)])
         beam.extra = np.array([6.0, 4.0, 8.0])
         beam, groups = group_by_visited(beam)
-        cand = expand_vrp(beam, groups, ctx, step=2)
+        cand = expand_vrp(beam, groups, ctx)
         via = cand.action >= inst.n
         via_states = cand.state_id[via]
         assert len(set(via_states.tolist())) < via_states.size
@@ -428,8 +435,10 @@ def assert_same_candidates(got, want):
 
 
 def prune_both(cand, groups, beam_size=None):
-    """Survivors of both kernels, with and without parent groups."""
-    return [prune_tsp(cand, groups, beam_size), prune_tsp(cand, None, beam_size),
+    """Survivors with no objective (with and without parent groups), with
+    capacity and with negated time."""
+    return [prune_capacity_time(cand, None, groups, beam_size),
+            prune_capacity_time(cand, None, None, beam_size),
             prune_capacity_time(cand, cand.extra, None, beam_size),
             prune_capacity_time(cand, -cand.extra, groups, beam_size)]
 
@@ -471,12 +480,11 @@ class TestScoreCut:
     def test_dominated_top_scores_widen_the_cut(self, singletons, filler, kernel_sizes,
                                                 pareto, monkeypatch):
         cand = self.dominated_top(singletons, filler)
-        name = "prune_pareto_front" if pareto else "prune_single_best"
-        kernel, sizes = getattr(solver, name), []
-        monkeypatch.setattr(solver, name, lambda state, *a, **k: (
+        kernel, sizes = solver.prune_pareto_front, []
+        monkeypatch.setattr(solver, "prune_pareto_front", lambda state, *a, **k: (
             sizes.append(len(state)), kernel(state, *a, **k))[1])
-        prune = ((lambda c, b=None: prune_capacity_time(c, c.extra, beam_size=b)) if pareto
-                 else (lambda c, b=None: prune_tsp(c, beam_size=b)))
+        prune = lambda c, b=None: prune_capacity_time(c, c.extra if pareto else None,
+                                                      beam_size=b)
         got = select_top_b(prune(cand, 1), 1)
         assert sizes == kernel_sizes
         assert_same_candidates(got, select_top_b(prune(cand), 1))
@@ -491,9 +499,7 @@ class TestScoreCut:
                     for policy in (Policy.COST_HEAT_POTENTIAL, Policy.COST)]
 
         with_cut = solve_all()
-        tsp, pareto = solver.prune_tsp, solver.prune_capacity_time
-        monkeypatch.setattr(solver, "prune_tsp",
-                            lambda cand, groups=None, beam_size=None: tsp(cand, groups))
+        pareto = solver.prune_capacity_time
         monkeypatch.setattr(solver, "prune_capacity_time",
                             lambda cand, obj, groups=None, beam_size=None:
                             pareto(cand, obj, groups))
@@ -752,6 +758,21 @@ class TestConfig:
         cfg = SolverConfig(beam_size=4, knn=8)
         with pytest.raises(ValueError, match="k must lie"):
             solve(generate_tsp(8, seed=0), cfg)
+
+    @pytest.mark.parametrize("kwargs, match", [
+        ({"policy": "cost"}, "policy must be a Policy"),
+        ({"beam_size": 2.5}, "beam_size must be an integer"),
+        ({"beam_size": np.float64(10.0)}, "beam_size must be an integer"),
+        ({"beam_size": "10"}, "beam_size must be an integer"),
+        ({"knn": 2.5}, "knn must be an integer"),
+    ])
+    def test_wrong_types_rejected(self, kwargs, match):
+        with pytest.raises(TypeError, match=match):
+            SolverConfig(**{"beam_size": 10, **kwargs})
+
+    def test_numpy_integers_accepted(self):
+        cfg = SolverConfig(beam_size=np.int64(10), knn=np.int32(3))
+        assert (cfg.beam_size, cfg.knn) == (10, 3)
 
     def test_default_threshold_restored_when_both_unset(self):
         cfg = SolverConfig(beam_size=4, threshold=None, knn=None)
