@@ -131,6 +131,8 @@ def _load_ref_costs(path: str | None) -> dict[str, float] | None:
                 cost = math.nan
             if not (math.isfinite(cost) and cost > 0):
                 raise ValueError(f"{path} line {i}: want '<instance> <cost>', cost finite and > 0")
+            if fields[0] in refs:
+                raise ValueError(f"{path} line {i}: instance {fields[0]!r} is listed twice")
             refs[fields[0]] = cost
     return refs
 
@@ -283,12 +285,15 @@ def cmd_bench(args) -> int:
     return 0 if all(r.error is None for _, r in all_rows) else 1
 
 
-def _int_list(text: str) -> list[int]:
-    return [int(x) for x in text.split(",") if x]
-
-
-def _float_list(text: str) -> list[float]:
-    return [float(x) for x in text.split(",") if x]
+def _number_list(kind):
+    """Parser of a comma-separated list flag that must name a number."""
+    def parse(text: str) -> list:
+        values = [kind(x) for x in text.split(",") if x]
+        if not values:
+            raise argparse.ArgumentTypeError(f"no numbers in {text!r}")
+        return values
+    parse.__name__ = f"{kind.__name__} list"   # argparse names it in errors
+    return parse
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -343,10 +348,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     pb = sub.add_parser("bench", help="sweep configurations and emit a table")
     common_solver_flags(pb, dominance_list=True)
-    pb.add_argument("--beam-sizes", type=_int_list, required=True)
-    pb.add_argument("--beam-thresholds", "--thresholds", type=_float_list,
+    pb.add_argument("--beam-sizes", type=_number_list(int), required=True)
+    pb.add_argument("--beam-thresholds", "--thresholds", type=_number_list(float),
                     default=[], dest="beam_thresholds")
-    pb.add_argument("--knns", type=_int_list, default=[])
+    pb.add_argument("--knns", type=_number_list(int), default=[])
     pb.add_argument("--policies", type=lambda s: s.split(","),
                     default=[Policy.COST_HEAT_POTENTIAL.value])
     pb.set_defaults(func=cmd_bench)

@@ -52,54 +52,37 @@ def _tour_costs(c: np.ndarray, perms: np.ndarray) -> np.ndarray:
     return cost
 
 
-def brute_force(instance: Instance, max_n: int | None = None) -> OracleResult:
+def brute_force(instance: Instance) -> OracleResult:
     """Exhaustive enumeration; refuses instances above the size cap."""
     if instance.kind == ProblemKind.VRP:
-        cap = max_n if max_n is not None else BRUTE_FORCE_MAX_CUSTOMERS
-        if instance.n - 1 > cap:
-            raise ValueError(
-                f"brute force refuses VRP with {instance.n - 1} customers (limit {cap})")
+        if instance.n - 1 > BRUTE_FORCE_MAX_CUSTOMERS:
+            raise ValueError(f"brute force refuses VRP with {instance.n - 1} customers "
+                             f"(limit {BRUTE_FORCE_MAX_CUSTOMERS})")
         return _brute_vrp(instance)
-    cap = max_n if max_n is not None else BRUTE_FORCE_MAX_NODES
-    if instance.n > cap:
-        raise ValueError(f"brute force refuses n = {instance.n} (limit {cap})")
-    if instance.kind == ProblemKind.TSP:
-        return _brute_tsp(instance)
-    return _brute_tsptw(instance)
+    if instance.n > BRUTE_FORCE_MAX_NODES:
+        raise ValueError(f"brute force refuses n = {instance.n} (limit {BRUTE_FORCE_MAX_NODES})")
+    return _brute_tour(instance)
 
 
-def _brute_tsp(instance: Instance) -> OracleResult:
+def _brute_tour(instance: Instance) -> OracleResult:
+    """TSP, or TSPTW with every arrival checked against its window."""
     c = instance.cost_matrix()
     best_cost, best_seq, searched = math.inf, None, 0
     for perms in _perm_batches(list(range(1, instance.n))):
-        costs = _tour_costs(c, perms)
         searched += len(perms)
+        costs = _tour_costs(c, perms)
+        if instance.kind == ProblemKind.TSPTW:
+            lo, hi = instance.time_windows.T
+            t = np.maximum(c[DEPOT, perms[:, 0]], lo[perms[:, 0]])
+            feas = t <= hi[perms[:, 0]]
+            for i in range(perms.shape[1] - 1):
+                nxt = perms[:, i + 1]
+                t = np.maximum(t + c[perms[:, i], nxt], lo[nxt])
+                feas &= t <= hi[nxt]
+            costs[~(feas & (t + c[perms[:, -1], DEPOT] <= hi[DEPOT]))] = math.inf
         i = int(np.argmin(costs))
         # Permutations come in lexicographic order, so the first optimum
         # seen is the lexicographically smallest one.
-        if costs[i] < best_cost:
-            best_cost, best_seq = float(costs[i]), tuple(int(v) for v in perms[i])
-    route = (DEPOT, *best_seq, DEPOT)
-    return OracleResult(best_cost, (route,), searched)
-
-
-def _brute_tsptw(instance: Instance) -> OracleResult:
-    c = instance.cost_matrix()
-    lo, hi = instance.time_windows[:, 0], instance.time_windows[:, 1]
-    best_cost, best_seq, searched = math.inf, None, 0
-    for perms in _perm_batches(list(range(1, instance.n))):
-        searched += len(perms)
-        t = np.maximum(c[DEPOT, perms[:, 0]], lo[perms[:, 0]])
-        feas = t <= hi[perms[:, 0]]
-        for i in range(perms.shape[1] - 1):
-            nxt = perms[:, i + 1]
-            t = np.maximum(t + c[perms[:, i], nxt], lo[nxt])
-            feas &= t <= hi[nxt]
-        feas &= t + c[perms[:, -1], DEPOT] <= hi[DEPOT]
-        if not feas.any():
-            continue
-        costs = np.where(feas, _tour_costs(c, perms), math.inf)
-        i = int(np.argmin(costs))
         if costs[i] < best_cost:
             best_cost, best_seq = float(costs[i]), tuple(int(v) for v in perms[i])
     if best_seq is None:
@@ -158,13 +141,10 @@ def _brute_vrp(instance: Instance) -> OracleResult:
     return OracleResult(float(total), routes, searched)
 
 
-def exact_dp(instance: Instance, max_n: int | None = None) -> OracleResult:
+def exact_dp(instance: Instance) -> OracleResult:
     """Full-state DP over (visited set, current node)."""
     n = instance.n
-    if instance.kind == ProblemKind.TSP:
-        cap = max_n if max_n is not None else EXACT_DP_MAX_NODES_TSP
-    else:
-        cap = max_n if max_n is not None else EXACT_DP_MAX_NODES
+    cap = EXACT_DP_MAX_NODES_TSP if instance.kind == ProblemKind.TSP else EXACT_DP_MAX_NODES
     if n > cap:
         raise ValueError(f"exact DP refuses n = {n} (limit {cap})")
     if instance.kind == ProblemKind.TSP:

@@ -136,7 +136,8 @@ def sparsify_knn(costs: np.ndarray, k: int, vrp: bool = False) -> SparseGraph:
 
 
 def read_heatmap(path: str | Path, n: int) -> Heatmap:
-    """Load a heatmap file (dense or sparse format, see write_heatmap)."""
+    """Load a heatmap file (dense or sparse format, see write_heatmap); content
+    after a dense file's rows and a repeated sparse entry are errors."""
     path = Path(path)
     lines = path.read_text(encoding="utf-8").splitlines()
     if not lines:
@@ -165,7 +166,11 @@ def read_heatmap(path: str | Path, n: int) -> Heatmap:
                 values[r] = [float(p) for p in parts]
             except ValueError:
                 raise HeatmapFormatError(f"{path}: line {r + 2}: non-numeric value") from None
+        extra = next((k for k in range(n + 1, len(lines)) if lines[k].strip()), None)
+        if extra is not None:
+            raise HeatmapFormatError(f"{path}: line {extra + 1}: content after the {n} rows")
     else:
+        seen: dict[tuple[int, int], int] = {}   # entry -> line that set it
         for lineno, line in enumerate(lines[1:], start=2):
             if not line.strip():
                 continue
@@ -178,6 +183,10 @@ def read_heatmap(path: str | Path, n: int) -> Heatmap:
                 raise HeatmapFormatError(f"{path}: line {lineno}: bad entry") from None
             if not (0 <= i < n and 0 <= j < n):
                 raise HeatmapFormatError(f"{path}: line {lineno}: index out of range")
+            if (i, j) in seen:
+                raise HeatmapFormatError(
+                    f"{path}: line {lineno}: entry ({i}, {j}) repeats line {seen[i, j]}")
+            seen[i, j] = lineno
             values[i, j] = v
 
     bad = ~((values >= 0) & (values <= 1))

@@ -5,10 +5,10 @@ top-B scoring non-dominated expansions of the beam at step t.  A step
 groups the beam by visited set, expands every entry along the sparse graph
 (feasibility only), prunes dominated candidates in the DP states that can
 reach the top B, selects the top B and builds the next beam; a candidate's
-score is its parent's plus terms read from per-solve tables and from a
-regain row per visited-set group, carried from step to step.  Per-step
-(parent, action) records go to a trace from which the winning solution is
-backtracked and independently re-simulated.
+cost and score are its parent's plus entries of per-solve (node, action)
+tables, and the score also adds a regain row per visited-set group, carried
+from step to step.  Per-step (parent, action) records go to a trace from
+which the winning solution is backtracked and independently re-simulated.
 """
 
 from __future__ import annotations
@@ -156,15 +156,21 @@ class _Context:
     def start_potential(self) -> PotentialState:
         return initial_potential(self.tables, initial_visited(self.instance.kind))
 
-    # Let V be a parent's visited nodes other than node 0 (never a target).  Its
-    # remaining potential of t is start_potential.p[t] - sum_{u in V} delta[u, t],
-    # and visiting t removes that and the delta[t, v] of every node v not in
-    # V.  So action a at node i, a move to t = a % n (see decode), gives
+    # Action a at node i moves to t = a % n, via the depot when a >= n (VRP
+    # only; see decode), at cost step_cost[i, a].  Let V be a parent's visited
+    # nodes.  Its remaining potential of t is start_potential.p[t] - sum_{u in V,
+    # u != 0} delta[u, t], and visiting t removes that and the delta[t, v] of
+    # every node v not in V.  So, as node 0's pot_regain row is zero,
     #   child score = parent score + step_score[i, a] + sum_{u in V} pot_regain[u, t],
     # step_score[i, a] = heat of a - (start_potential.p[t] + sum_v delta[t, v]).
     # The regain sum depends on V only, so it is kept per visited-set group and
     # carried to the children; the tables lie on the score grid (policy.py), so
     # every sum is exact in any order.
+    @cached_property
+    def step_cost(self) -> np.ndarray:
+        c = self.costs   # c(i, 0) + c(0, j) in column n + j, summed as replay sums it
+        return np.hstack([c, c[:, :1] + c[DEPOT]]) if self.instance.kind == ProblemKind.VRP else c
+
     @cached_property
     def step_score(self) -> np.ndarray:
         t = self.tables
@@ -175,7 +181,7 @@ class _Context:
     @cached_property
     def pot_regain(self) -> np.ndarray:
         d = self.tables.delta
-        return (d + d.T)[1:]
+        return np.vstack([np.zeros(self.n), (d + d.T)[1:]])
 
     # TSP scan: each node's neighbours other than node 0 in ascending order,
     # padded with node 0, which a TSP beam has always visited; and their count.
@@ -201,26 +207,15 @@ def _group_starts(groups: np.ndarray) -> np.ndarray:
 
 
 def _build_candidates(ctx: _Context, beam: Beam, groups: np.ndarray, starts: np.ndarray,
-                      ppos: np.ndarray, col: np.ndarray,
+                      ppos: np.ndarray, col: np.ndarray, tgt: np.ndarray,
                       extra: np.ndarray | None = None) -> Candidates:
-    """Candidates for the feasible edges (ppos[k], col[k]).
-
-    The column is the action code: a move to node col % n, via the depot
-    when col >= n (VRP only).  VRP candidates get their remaining capacity
-    as extra; the other problems pass theirs in.
-    """
-    n = ctx.n
+    """Candidates for the feasible actions col[k], moves to tgt[k] = col[k] % n,
+    of parent rows ppos[k], with the expander's extra (remaining capacity or
+    time).  Cost and score add the (node, action) entries of ctx.step_cost and
+    ctx.step_score; the score also adds the regain of the parent's group."""
     cur = beam.current[ppos]
-    tgt, start, src = col, beam.cost[ppos], cur
-    if ctx.instance.kind == ProblemKind.VRP:
-        via = col >= n
-        tgt = col % n
-        start = np.where(via, start + ctx.costs[cur, DEPOT], start)
-        src = np.where(via, DEPOT, cur)
-        remcap = np.where(via, float(ctx.instance.capacity), beam.extra[ppos])
-        extra = remcap - ctx.instance.demands[tgt]
-    cost = start + ctx.costs[src, tgt]
-    state_id = groups[ppos] * np.int64(n) + tgt
+    cost = beam.cost[ppos] + ctx.step_cost[cur, col]
+    state_id = groups[ppos] * np.int64(ctx.n) + tgt
     # Row g of the table belongs to group g, so its entry (g, t) sits at state_id.
     table = None if ctx.config.policy.ranks_by_cost else _regain_table(ctx, beam, starts)
     score = -cost if table is None else (beam.score[ppos] + ctx.step_score[cur, col]
@@ -231,13 +226,11 @@ def _build_candidates(ctx: _Context, beam: Beam, groups: np.ndarray, starts: np.
 def _regain_table(ctx: _Context, beam: Beam, starts: np.ndarray) -> np.ndarray:
     """Per group, the regain sum over its visited set (see _Context): a row made
     by state_id = g * n + t has group g's set plus t, so its group's row is row
-    g plus t's pot_regain row.  A beam without a parent table takes the product."""
-    if beam.regain is None:
-        return beam.visited[starts, 1:].astype(float) @ ctx.pot_regain
+    g of the parents' table plus t's pot_regain row (see _init_beam for the root)."""
     parent, target = np.divmod(beam.origin[starts], ctx.n)
     table = np.take(beam.regain, parent, axis=0)
     for i in range(0, len(table), 1024):   # in slices, to keep temporaries small
-        table[i:i + 1024] += ctx.pot_regain[target[i:i + 1024] - 1]
+        table[i:i + 1024] += ctx.pot_regain[target[i:i + 1024]]
     return table
 
 
@@ -251,7 +244,7 @@ def expand_tsp(beam: Beam, groups: np.ndarray, ctx: _Context) -> Candidates:
     else:
         open_cells = np.flatnonzero(ctx.adj[beam.current] & ~beam.visited)
     ppos, tgt = np.divmod(open_cells, ctx.n)
-    return _build_candidates(ctx, beam, groups, _group_starts(groups), ppos, tgt)
+    return _build_candidates(ctx, beam, groups, _group_starts(groups), ppos, tgt, tgt)
 
 
 def expand_vrp(beam: Beam, groups: np.ndarray, ctx: _Context) -> Candidates:
@@ -267,16 +260,19 @@ def expand_vrp(beam: Beam, groups: np.ndarray, ctx: _Context) -> Candidates:
     feas[:, :n] = ctx.adj[beam.current] & unvisited & fits & away
 
     # Per visited-set group, only parents with the cheapest return to the
-    # depot can yield non-dominated via-depot moves: all of them then share
-    # the state's remaining capacity.  This filter applies whatever
-    # dominance_enabled is set to.
+    # depot can yield non-dominated via-depot moves (up to the rounding of
+    # step_cost): all of them then share the state's remaining capacity.  This
+    # filter applies whatever dominance_enabled is set to.
     has_ret = (beam.current == DEPOT) | ctx.adj[beam.current, DEPOT]
     ret = np.where(has_ret, beam.cost + ctx.costs[beam.current, DEPOT], np.inf)
     starts = _group_starts(groups)
     eligible = has_ret & (ret == np.minimum.reduceat(ret, starts)[groups])
     feas[eligible, n:] = ctx.adj[DEPOT] & unvisited[eligible]
     ppos, col = np.divmod(np.flatnonzero(feas), 2 * n)
-    return _build_candidates(ctx, beam, groups, starts, ppos, col)
+    tgt = col % n
+    remcap = np.where(col >= n, float(ctx.instance.capacity), beam.extra[ppos])
+    return _build_candidates(ctx, beam, groups, starts, ppos, col, tgt,
+                             extra=remcap - ctx.instance.demands[tgt])
 
 
 def expand_tsptw(beam: Beam, groups: np.ndarray, ctx: _Context) -> Candidates:
@@ -297,7 +293,8 @@ def expand_tsptw(beam: Beam, groups: np.ndarray, ctx: _Context) -> Candidates:
         np.minimum(latest, ctx.slack_to[j], out=latest)
     flat = np.flatnonzero(ctx.adj[beam.current] & ~beam.visited & (arrive <= latest[groups]))
     ppos, tgt = np.divmod(flat, ctx.n)
-    return _build_candidates(ctx, beam, groups, starts, ppos, tgt, extra=arrive.ravel()[flat])
+    return _build_candidates(ctx, beam, groups, starts, ppos, tgt, tgt,
+                             extra=arrive.ravel()[flat])
 
 
 def _prune_contested(cand: Candidates, groups: np.ndarray | None, kernel,
@@ -396,8 +393,10 @@ def _init_beam(ctx: _Context) -> Beam:
     elif kind == ProblemKind.TSPTW:
         extra = np.array([0.0])
     score = -0.0 if ctx.config.policy.ranks_by_cost else ctx.start_potential.total
+    # The root row's regain table is one zero row, its origin group 0 and node 0.
     return Beam(np.zeros(1), np.full(1, DEPOT, dtype=np.int64), np.array([score]),
-                visited, extra, np.zeros(1, dtype=np.int32))
+                visited, extra, np.zeros(1, dtype=np.int32),
+                origin=np.zeros(1, dtype=np.int64), regain=np.zeros((1, ctx.n)))
 
 
 def _next_beam(beam: Beam, cand: Candidates) -> Beam:
@@ -499,12 +498,11 @@ def solve(
                            max_beam_width=max_width)
     order = np.lexsort((beam.slots[ok], -beam.score[ok], final_cost[ok]))
     win = ok[order[0]]
-    trace.append((np.array([beam.slots[win]]), np.array([DEPOT])))
 
-    actions = backtrack(trace, 0)
+    actions = backtrack(trace, int(beam.slots[win])) + [DEPOT]
     solution = build_solution(instance, actions, graph=graph)
     if not solution.feasible:
         raise RuntimeError("internal error: backtracked solution failed re-simulation")
-    if abs(solution.cost - float(final_cost[win])) > 1e-9:
+    if solution.cost != float(final_cost[win]):
         raise RuntimeError("internal error: re-simulated cost differs from beam cost")
     return SolveResult(solution, steps=visit_steps + 1, max_beam_width=max_width)

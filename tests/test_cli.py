@@ -117,6 +117,7 @@ class TestSolveCommand:
         ("tsp8_0000 inf\n", 1),
         ("tsp8_0000 abc\n", 1),
         ("tsp8_0000 1.5 2.5\n", 1),
+        ("tsp8_0000 1.0\ntsp8_0001 3.0\ntsp8_0000 2.0\n", 3),   # an id listed twice
     ])
     def test_bad_ref_costs_exit_2_before_solving(self, tmp_path, capsys, body, line):
         d = write_tsp_dir(tmp_path, count=2)
@@ -373,6 +374,19 @@ class TestBenchCommand:
                    "--beam-sizes", "4", "--out", str(out)] + flag)
         assert rc == 2
         assert msg in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag", [["--beam-sizes", ","], ["--beam-sizes", ""],
+                                      ["--beam-sizes", "4", "--knns", ",,"],
+                                      ["--beam-sizes", "4", "--thresholds", ","]])
+    def test_list_flag_without_numbers_exit_2(self, tmp_path, capsys, flag):
+        d = write_tsp_dir(tmp_path, count=1)
+        out = tmp_path / "bench"
+        with pytest.raises(SystemExit) as exc:
+            main(["bench", "--problem", "tsp", "--instances", str(d), "--out", str(out)]
+                 + flag)
+        assert exc.value.code == 2
+        assert "no numbers in" in capsys.readouterr().err
         assert not out.exists()
 
     def test_dominance_ablation_rows(self, tmp_path):

@@ -50,14 +50,11 @@ class TestBruteForceBasics:
         assert sim.feasible
         assert sim.cost == pytest.approx(res.optimal_cost, abs=1e-9)
 
-    @pytest.mark.slow
     def test_size_cap_refusal(self):
         with pytest.raises(ValueError, match="limit"):
             brute_force(generate_tsp(12, seed=0))
         with pytest.raises(ValueError, match="limit"):
             brute_force(generate_vrp(10, seed=0))
-        # explicit override lifts the cap
-        brute_force(generate_tsp(12, seed=0), max_n=12)
 
 
 class TestExactDPBasics:

@@ -226,6 +226,31 @@ class TestHeatmapIO:
         with pytest.raises(HeatmapFormatError, match=r"\(0, 2\) = nan"):
             read_heatmap(path, 3)
 
+    def test_dense_rows_beyond_n_name_the_line(self, tmp_path):
+        path = tmp_path / "h.heat"
+        path.write_text("dense 3\n0 0.5 0.5\n0.5 0 0.5\n0.5 0.5 0\n"
+                        "0.9 0.9 0.9\ngarbage here\n")
+        with pytest.raises(HeatmapFormatError, match="line 5: content after the 3 rows"):
+            read_heatmap(path, 3)
+        path.write_text("dense 3\n0 0.5 0.5\n0.5 0 0.5\n0.5 0.5 0\n\n\ngarbage here\n")
+        with pytest.raises(HeatmapFormatError, match="line 7: content after the 3 rows"):
+            read_heatmap(path, 3)
+
+    def test_sparse_repeated_entry_names_both_lines(self, tmp_path):
+        path = tmp_path / "h.heat"
+        path.write_text("sparse 3\n0 1 0.25\n1 0 0.25\n0 1 0.75\n")
+        with pytest.raises(HeatmapFormatError, match=r"line 4: entry \(0, 1\) repeats line 2"):
+            read_heatmap(path, 3)
+
+    @pytest.mark.parametrize("body", ["dense 3\n0 0.5 0\n0.5 0 0\n0 0 0\n\n\n",
+                                      "sparse 3\n\n0 1 0.5\n\n1 0 0.5\n\n"])
+    def test_blank_lines_are_tolerated(self, tmp_path, body):
+        path = tmp_path / "h.heat"
+        path.write_text(body)
+        h = read_heatmap(path, 3)
+        assert h.values[0, 1] == h.values[1, 0] == 0.5
+        assert np.count_nonzero(h.values) == 2
+
     def test_dimension_mismatch_rejected(self, tmp_path):
         path = tmp_path / "h.heat"
         path.write_text("sparse 3\n")

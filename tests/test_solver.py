@@ -31,7 +31,10 @@ def make_context(instance, config=None):
 
 
 def beam_from_rows(ctx, rows):
-    """Build a beam from (visited_set, current, cost) tuples for tests."""
+    """Build a beam from (visited_set, current, cost) tuples for tests.
+
+    Each row comes from its own parent group by a move to node 0, so the
+    parents' regain table holds the row's own visited @ pot_regain."""
     n = ctx.n
     m = len(rows)
     visited = np.zeros((m, n), dtype=bool)
@@ -42,7 +45,8 @@ def beam_from_rows(ctx, rows):
         current[i], cost[i] = cur, c
     pot = [initial_potential(ctx.tables, vis) for vis, _, _ in rows]
     return Beam(cost, current, np.array([p.total for p in pot]), visited, None,
-                np.arange(m, dtype=np.int64))
+                np.arange(m, dtype=np.int64), origin=np.arange(m, dtype=np.int64) * n,
+                regain=visited.astype(float) @ ctx.pot_regain)
 
 
 class TestGrouping:
@@ -203,15 +207,16 @@ class TestExpansion:
 class TestExactScore:
     @pytest.mark.parametrize("generate", [generate_tsp, generate_vrp, generate_tsptw])
     def test_selected_score_equals_replay(self, generate, monkeypatch):
-        # Every row a full beam selects carries, bit for bit, the score that
-        # replay recomputes from scratch for its backtracked action prefix.
+        # Every row a full beam selects carries, bit for bit, the score and
+        # the cost that replay recomputes from scratch for its backtracked
+        # action prefix.
         selected, tables = [], []
         next_beam, build_tables = solver._next_beam, solver.build_policy_tables
         monkeypatch.setattr(solver, "_next_beam",
                             lambda beam, cand: selected.append(cand) or next_beam(beam, cand))
         monkeypatch.setattr(solver, "build_policy_tables",
                             lambda *a, **k: tables.append(build_tables(*a, **k)) or tables[-1])
-        rows, differ = 0, []
+        rows, differ, cost_differ = 0, [], []
         for policy in (Policy.COST_HEAT_POTENTIAL, Policy.COST_HEAT):
             for seed in range(3):
                 selected.clear()
@@ -223,12 +228,17 @@ class TestExactScore:
                 for cand in selected:
                     prefixes = [prefixes[s] + (int(a),)
                                 for s, a in zip(cand.parent_slot, cand.action)]
-                    for prefix, score in zip(prefixes, cand.score):
+                    for prefix, score, cost in zip(prefixes, cand.score, cand.cost):
                         rows += 1
-                        if score != replay(inst, prefix, tables=tables[0]).score:
+                        sim = replay(inst, prefix, tables=tables[0])
+                        if score != sim.score:
                             differ.append((policy.value, seed, prefix))
+                        if cost != sim.cost:
+                            cost_differ.append((policy.value, seed, prefix))
         assert rows > 1000
-        assert not differ, f"{len(differ)} of {rows} rows differ, first {differ[0]}"
+        assert not differ, f"{len(differ)} of {rows} scores differ, first {differ[0]}"
+        assert not cost_differ, \
+            f"{len(cost_differ)} of {rows} costs differ, first {cost_differ[0]}"
 
 
 class TestScoreGrid:
@@ -249,13 +259,13 @@ class TestScoreGrid:
         rng = np.random.default_rng(0)
         sets = rng.random((40, ctx.n)) < rng.random((40, 1))
         visited = sets[rng.integers(0, 40, size=300)]
-        rows = visited[:, 1:].astype(float) @ ctx.pot_regain
-        per_row = np.array([v[1:].astype(float) @ ctx.pot_regain for v in visited])
+        rows = visited.astype(float) @ ctx.pot_regain
+        per_row = np.array([v.astype(float) @ ctx.pot_regain for v in visited])
         uniq, inverse = np.unique(visited, axis=0, return_inverse=True)
-        per_group = (uniq[:, 1:].astype(float) @ ctx.pot_regain)[inverse.ravel()]
-        reversed_cols = visited[:, :0:-1].astype(float) @ ctx.pot_regain[::-1]
+        per_group = (uniq.astype(float) @ ctx.pot_regain)[inverse.ravel()]
+        reversed_cols = visited[:, ::-1].astype(float) @ ctx.pot_regain[::-1]
         shuffled = np.array([sum((ctx.pot_regain[u] for u in
-                                  rng.permutation(np.flatnonzero(v[1:]))),
+                                  rng.permutation(np.flatnonzero(v))),
                                  np.zeros(ctx.n)) for v in visited[:20]])
         for other in (per_row, per_group, reversed_cols):
             assert np.array_equal(rows, other)
@@ -264,8 +274,8 @@ class TestScoreGrid:
 
 class TestGroupedRegain:
     # Real grouped beams of a solve whose visited sets repeat: the regain
-    # carried per group from step to step gives, bit for bit, the scores of
-    # the per-row visited @ pot_regain product.
+    # carried per group from step to step, the root's zero table included,
+    # gives, bit for bit, the scores of the per-row visited @ pot_regain product.
     def check_scores(self, monkeypatch, inst, config, heatmap=None):
         calls, build = [], solver._build_candidates
 
@@ -277,14 +287,15 @@ class TestGroupedRegain:
         assert solve(inst, config, heatmap=heatmap).found
         shared = 0
         for ctx, beam, cand, _ in calls:
-            regain = beam.visited[:, 1:].astype(float) @ ctx.pot_regain
+            regain = beam.visited.astype(float) @ ctx.pot_regain
             ppos = cand.parent_pos
             want = (beam.score[ppos] + ctx.step_score[beam.current[ppos], cand.action]
                     + regain[ppos, cand.target])
             assert np.array_equal(cand.score, want)
             shared += len(np.unique(beam.visited, axis=0)) < beam.width
         assert shared > 10
-        assert all(carried for *_, carried in calls[1:])   # only step 0 takes the product
+        assert len(calls) == inst.n - 1
+        assert all(carried for *_, carried in calls)   # every step, step 0 included
 
     @pytest.mark.parametrize("generate", [generate_tsp, generate_vrp, generate_tsptw])
     def test_scores_equal_per_row_matmul(self, generate, monkeypatch):

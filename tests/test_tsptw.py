@@ -22,7 +22,8 @@ def tsptw_context(coords, time_windows, adj=None):
     tables = build_policy_tables(heat, costs, inst.kind)
     if adj is None:
         adj = ~np.eye(n, dtype=bool)
-    return _Context(inst, costs, adj, tables, SolverConfig(beam_size=8))
+    # Ranked by cost, so the hand-built beams need no regain table.
+    return _Context(inst, costs, adj, tables, SolverConfig(beam_size=8, policy=Policy.COST))
 
 
 def tsptw_beam(n, rows):
