@@ -1,10 +1,12 @@
 """Independent exact solvers for small instances.
 
 brute_force enumerates solutions directly (permutations, and for VRP set
-partitions with per-route permutations); exact_dp runs a classic full
-state-space DP over (visited set, current node), with per-state Pareto
-fronts for VRP/TSPTW.  Both are pure functions of the instance and exist
-to cross-check the beam solver, so they share no code with it.
+partitions with per-route permutations); exact_dp runs one full
+state-space DP over (visited set, current node) for all three problems,
+with a Pareto front per state over cost and a resource (remaining capacity,
+or arrival time; a TSP is a TSPTW with open windows).  Both are pure
+functions of the instance and exist to cross-check the beam solver, so
+they share no code with it.
 """
 
 from __future__ import annotations
@@ -142,154 +144,69 @@ def _brute_vrp(instance: Instance) -> OracleResult:
 
 
 def exact_dp(instance: Instance) -> OracleResult:
-    """Full-state DP over (visited set, current node)."""
+    """Full-state DP over (visited set, current node) with a Pareto front per
+    state: cost is minimised and aux maximised, the remaining capacity for VRP
+    and minus the arrival time for TSP and TSPTW.  A TSP is a TSPTW with
+    windows [0, inf), so its time equals its cost and each front holds the
+    first cheapest entry."""
     n = instance.n
+    vrp = instance.kind == ProblemKind.VRP
     cap = EXACT_DP_MAX_NODES_TSP if instance.kind == ProblemKind.TSP else EXACT_DP_MAX_NODES
     if n > cap:
         raise ValueError(f"exact DP refuses n = {n} (limit {cap})")
-    if instance.kind == ProblemKind.TSP:
-        return _dp_tsp(instance)
-    if instance.kind == ProblemKind.VRP:
-        return _dp_vrp(instance)
-    return _dp_tsptw(instance)
-
-
-def _dp_tsp(instance: Instance) -> OracleResult:
-    n = instance.n
     c = instance.cost_matrix()
-    full = (1 << (n - 1)) - 1  # bit k = customer k + 1
-    dp: dict[tuple[int, int], tuple[float, tuple[int, int] | None]] = {}
+    d, capacity = instance.demands, instance.capacity
+    windows = instance.time_windows
+    lo, hi = (np.tile([0.0, math.inf], (n, 1)) if windows is None else windows).T
+    full = (1 << (n - 1)) - 1  # bit k - 1 = customer k
+    # entry: [cost, aux, parent entry, node, whether the move leaves the depot]
+    root = [0.0, float(capacity) if vrp else 0.0, None, DEPOT, True]
+    fronts: dict[tuple[int, int], list[list]] = {(0, DEPOT): [root]}
+    for mask in range(full):
+        for j in range(n):
+            for entry in fronts.get((mask, j), ()):
+                cost, aux = entry[0], entry[1]
+                for k in range(1, n):
+                    bit = 1 << (k - 1)
+                    if mask & bit:
+                        continue
+                    if not vrp:
+                        t = max(-aux + c[j, k], lo[k])
+                        moves = [(cost + c[j, k], -t, j == DEPOT)] if t <= hi[k] else []
+                    else:   # direct, then via the depot
+                        moves = [(cost + c[j, k], aux - d[k], False)] \
+                            if j != DEPOT and d[k] <= aux else []
+                        moves.append((cost + c[j, DEPOT] + c[DEPOT, k], capacity - d[k], True))
+                    for new_cost, new_aux, via in moves:
+                        _front_insert(fronts.setdefault((mask | bit, k), []), new_cost, new_aux,
+                                      [new_cost, new_aux, entry, k, via])
+    best_total, best = math.inf, None
     for j in range(1, n):
-        dp[(1 << (j - 1), j)] = (float(c[DEPOT, j]), None)
-    for mask in range(1, full + 1):
-        for j in range(1, n):
-            state = (mask, j)
-            if state not in dp:
+        for entry in fronts.get((full, j), ()):
+            if not vrp and -entry[1] + c[j, DEPOT] > hi[DEPOT]:
                 continue
-            base, _ = dp[state]
-            for k in range(1, n):
-                bit = 1 << (k - 1)
-                if mask & bit:
-                    continue
-                nxt = (mask | bit, k)
-                cand = base + c[j, k]
-                if nxt not in dp or cand < dp[nxt][0]:
-                    dp[nxt] = (cand, state)
-    best = (math.inf, None)
-    for j in range(1, n):
-        state = (full, j)
-        total = dp[state][0] + c[j, DEPOT]
-        if total < best[0]:
-            best = (total, state)
-    seq: list[int] = []
-    state = best[1]
-    while state is not None:
-        seq.append(state[1])
-        state = dp[state][1]
-    seq.reverse()
-    return OracleResult(float(best[0]), ((DEPOT, *seq, DEPOT),), len(dp))
+            total = entry[0] + c[j, DEPOT]
+            if total < best_total:
+                best_total, best = total, entry
+    if best is None:
+        return OracleResult(math.inf, None, len(fronts) - 1)
+    chain: list[list] = []
+    while best is not root:
+        chain.append(best)
+        best = best[2]
+    routes: list[list[int]] = []
+    for entry in reversed(chain):
+        if entry[4]:
+            routes.append([DEPOT])
+        routes[-1].append(entry[3])
+    decoded = tuple(sorted((*route, DEPOT) for route in routes))
+    return OracleResult(float(best_total), decoded, len(fronts) - 1)
 
 
 def _front_insert(front: list[list], cost: float, aux: float, entry: list) -> None:
-    # aux is maximized (remaining capacity; negated time for TSPTW).
+    # aux is maximized (remaining capacity; negated time for TSP/TSPTW).
     for e in front:
         if e[0] <= cost and e[1] >= aux:
             return
     front[:] = [e for e in front if not (cost <= e[0] and aux >= e[1])]
     front.append(entry)
-
-
-def _dp_vrp(instance: Instance) -> OracleResult:
-    n = instance.n
-    c = instance.cost_matrix()
-    d = instance.demands
-    capacity = float(instance.capacity)
-    full = (1 << (n - 1)) - 1
-    # entry: [cost, remcap, parent_entry, action_node, via_flag]
-    fronts: dict[tuple[int, int], list[list]] = {}
-    for j in range(1, n):
-        fronts[(1 << (j - 1), j)] = [[float(c[DEPOT, j]), capacity - d[j], None, j, True]]
-    for mask in range(1, full + 1):
-        for j in range(1, n):
-            front = fronts.get((mask, j))
-            if not front:
-                continue
-            for entry in front:
-                cost, remcap = entry[0], entry[1]
-                for k in range(1, n):
-                    bit = 1 << (k - 1)
-                    if mask & bit:
-                        continue
-                    nxt = fronts.setdefault((mask | bit, k), [])
-                    if d[k] <= remcap:
-                        _front_insert(nxt, cost + c[j, k], remcap - d[k],
-                                      [cost + c[j, k], remcap - d[k], entry, k, False])
-                    via_cost = cost + c[j, DEPOT] + c[DEPOT, k]
-                    _front_insert(nxt, via_cost, capacity - d[k],
-                                  [via_cost, capacity - d[k], entry, k, True])
-    best_total, best_entry = math.inf, None
-    for j in range(1, n):
-        for entry in fronts.get((full, j), []):
-            total = entry[0] + c[j, DEPOT]
-            if total < best_total:
-                best_total, best_entry = total, entry
-    routes: list[list[int]] = []
-    entry = best_entry
-    chain: list[list] = []
-    while entry is not None:
-        chain.append(entry)
-        entry = entry[2]
-    for e in reversed(chain):
-        if e[4]:
-            routes.append([DEPOT, e[3]])
-        else:
-            routes[-1].append(e[3])
-    decoded = tuple(sorted(tuple(r) + (DEPOT,) for r in routes))
-    return OracleResult(float(best_total), decoded, len(fronts))
-
-
-def _dp_tsptw(instance: Instance) -> OracleResult:
-    n = instance.n
-    c = instance.cost_matrix()
-    lo, hi = instance.time_windows[:, 0], instance.time_windows[:, 1]
-    full = (1 << (n - 1)) - 1
-    # entry: [cost, -time, parent_entry, node]
-    fronts: dict[tuple[int, int], list[list]] = {}
-    for j in range(1, n):
-        t = max(c[DEPOT, j], lo[j])
-        if t <= hi[j]:
-            fronts[(1 << (j - 1), j)] = [[float(c[DEPOT, j]), -t, None, j]]
-    for mask in range(1, full + 1):
-        for j in range(1, n):
-            front = fronts.get((mask, j))
-            if not front:
-                continue
-            for entry in front:
-                cost, t = entry[0], -entry[1]
-                for k in range(1, n):
-                    bit = 1 << (k - 1)
-                    if mask & bit:
-                        continue
-                    tk = max(t + c[j, k], lo[k])
-                    if tk > hi[k]:
-                        continue
-                    nxt = fronts.setdefault((mask | bit, k), [])
-                    _front_insert(nxt, cost + c[j, k], -tk,
-                                  [cost + c[j, k], -tk, entry, k])
-    best_total, best_entry = math.inf, None
-    for j in range(1, n):
-        for entry in fronts.get((full, j), []):
-            if -entry[1] + c[j, DEPOT] > hi[DEPOT]:
-                continue
-            total = entry[0] + c[j, DEPOT]
-            if total < best_total:
-                best_total, best_entry = total, entry
-    if best_entry is None:
-        return OracleResult(math.inf, None, len(fronts))
-    seq: list[int] = []
-    entry = best_entry
-    while entry is not None:
-        seq.append(entry[3])
-        entry = entry[2]
-    seq.reverse()
-    return OracleResult(float(best_total), ((DEPOT, *seq, DEPOT),), len(fronts))

@@ -163,8 +163,8 @@ def generate_tsptw(n: int, seed: int, max_window: float = 1000.0) -> Instance:
     """
     if n < 2:
         raise ValueError("n must be >= 2")
-    if max_window <= 0:
-        raise ValueError("max_window must be positive")
+    if not (math.isfinite(max_window) and max_window > 0):
+        raise ValueError("max_window must be finite and positive")
     rng = np.random.default_rng(seed)
     coords = rng.random((n, 2)) * 100.0
     order = rng.permutation(np.arange(1, n))

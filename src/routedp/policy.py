@@ -3,8 +3,8 @@
 The beam ranks partial solutions by score = accumulated edge heat plus a
 "potential": for each node still to be visited (and the start/depot node),
 the weighted share of its incoming heat that is still realizable.  Tables
-are immutable and shared; per-solution potential state is copied on
-expansion.
+are immutable and shared; the solver adds their entries per step, and only
+decode.replay's re-simulation carries a per-solution PotentialState.
 
 heat, w, delta, via-depot heat and start potentials lie on the score grid,
 multiples of 2^-q with q = 53 - ceil(log2(8n)).  Scores stay below 8n in

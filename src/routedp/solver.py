@@ -45,6 +45,9 @@ class SolverConfig:
                     operator.index(value)
             except TypeError:
                 raise TypeError(f"{name} must be an integer, got {value!r}") from None
+        for name in ("dominance_enabled", "invert_cost_heat"):
+            if not isinstance(getattr(self, name), (bool, np.bool_)):
+                raise TypeError(f"{name} must be a bool, got {getattr(self, name)!r}")
         if self.beam_size < 1:
             raise ValueError("beam_size must be >= 1")
         if self.threshold is not None and self.knn is not None:
@@ -259,15 +262,24 @@ def expand_vrp(beam: Beam, groups: np.ndarray, ctx: _Context) -> Candidates:
     fits = ctx.instance.demands[None, :] <= beam.extra[:, None]
     feas[:, :n] = ctx.adj[beam.current] & unvisited & fits & away
 
-    # Per visited-set group, only parents with the cheapest return to the
-    # depot can yield non-dominated via-depot moves (up to the rounding of
-    # step_cost): all of them then share the state's remaining capacity.  This
-    # filter applies whatever dominance_enabled is set to.
+    # Via-depot moves to j from one visited-set group share the state's
+    # remaining capacity, so only the parents with the least cost of that move,
+    # fl(cost + (c(i, 0) + c(0, j))), can yield a non-dominated one.  That cost
+    # and ret = fl(cost + c(i, 0)) lie within a factor (1 +- eps/2)^2 of their
+    # exact sums, so such a parent's ret lies within 4 eps * (least ret + max_j
+    # c(0, j)) of its group's least.  A group's only parent that near has the
+    # least cost to every j; where there are more, they are compared per target.
+    # This filter applies whatever dominance_enabled is set to.
     has_ret = (beam.current == DEPOT) | ctx.adj[beam.current, DEPOT]
     ret = np.where(has_ret, beam.cost + ctx.costs[beam.current, DEPOT], np.inf)
     starts = _group_starts(groups)
-    eligible = has_ret & (ret == np.minimum.reduceat(ret, starts)[groups])
-    feas[eligible, n:] = ctx.adj[DEPOT] & unvisited[eligible]
+    low = np.minimum.reduceat(ret, starts)[groups]
+    near = has_ret & (ret <= low + 4 * np.finfo(float).eps * (low + ctx.costs[DEPOT].max()))
+    feas[near, n:] = ctx.adj[DEPOT] & unvisited[near]
+    rows = np.flatnonzero(near & (np.bincount(groups, weights=near)[groups] > 1))
+    via = beam.cost[rows, None] + ctx.step_cost[beam.current[rows], n:]
+    first = np.diff(groups[rows], prepend=-1) != 0
+    feas[rows, n:] &= via == np.minimum.reduceat(via, np.flatnonzero(first))[np.cumsum(first) - 1]
     ppos, col = np.divmod(np.flatnonzero(feas), 2 * n)
     tgt = col % n
     remcap = np.where(col >= n, float(ctx.instance.capacity), beam.extra[ppos])

@@ -302,6 +302,14 @@ class TestGenerateCommand:
         assert "--count must be >= 1" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["generate", "verify"])
+    @pytest.mark.parametrize("window", ["inf", "nan", "0"])
+    def test_bad_max_window_exit_2(self, tmp_path, capsys, command, window):
+        extra = ["--out", str(tmp_path / "g")] if command == "generate" else ["--beam-size", "4"]
+        rc = main([command, "--problem", "tsptw", "--n", "5", "--max-window", window, *extra])
+        assert rc == 2
+        assert "max_window must be finite and positive" in capsys.readouterr().err
+
     def test_vrp_capacity_in_files(self, tmp_path):
         out = tmp_path / "v"
         main(["generate", "--problem", "vrp", "--n", "100", "--count", "3",

@@ -111,3 +111,42 @@ class TestOracleAgreement:
             if a.feasible:
                 assert a.optimal_cost == pytest.approx(b.optimal_cost, abs=1e-9)
         assert verdicts == {True, False}  # the mix exercises both branches
+
+
+def coincident(kind, n=5):
+    """All points at one spot, so every cost is 0 and every order ties."""
+    extra = {ProblemKind.VRP: dict(demands=np.array([0.0] + [1.0] * (n - 1)), capacity=2.0)}
+    return Instance(kind, np.full((n, 2), 0.25), **extra.get(kind, {}))
+
+
+# (optimal_cost.hex(), optimal_routes, node_count_searched), recorded from the
+# three per-problem DPs that exact_dp replaced.
+PINNED = {
+    "tsp6_s0": (lambda: generate_tsp(6, seed=0), "0x1.935369dcd163ep+1",
+                ((0, 5, 1, 4, 2, 3, 0),), 80),
+    "tsp9_s7": (lambda: generate_tsp(9, seed=7), "0x1.835656712f537p+1",
+                ((0, 2, 3, 6, 5, 7, 1, 4, 8, 0),), 1024),
+    "vrp6_s1": (lambda: generate_vrp(6, seed=1), "0x1.6e0c478768650p+1",
+                ((0, 1, 0), (0, 5, 3, 4, 2, 0)), 80),
+    "vrp9_s5": (lambda: generate_vrp(9, seed=5), "0x1.4080578b0c648p+2",
+                ((0, 1, 3, 5, 7, 0), (0, 6, 0), (0, 8, 2, 4, 0)), 1024),
+    "tsptw7_s2": (lambda: generate_tsptw(7, seed=2), "0x1.e2fc42935943ep+7",
+                  ((0, 4, 6, 2, 5, 1, 3, 0),), 154),
+    "tsptw9_s3": (lambda: generate_tsptw(9, seed=3), "0x1.2dc1c2a6f6874p+8",
+                  ((0, 5, 3, 4, 1, 7, 6, 8, 2, 0),), 840),
+    "tsptw8_s4_x085": (lambda: perturbed_tsptw(8, 4, shrink=0.85), "0x1.28cc7afc4b073p+8",
+                       ((0, 5, 1, 3, 4, 6, 7, 2, 0),), 136),
+    "tsptw8_s0_x06": (lambda: perturbed_tsptw(8, 0, shrink=0.6), "inf", None, 30),
+    "tsp5_coincident": (lambda: coincident(ProblemKind.TSP), "0x0.0p+0",
+                        ((0, 4, 3, 2, 1, 0),), 32),
+    "vrp5_coincident": (lambda: coincident(ProblemKind.VRP), "0x0.0p+0",
+                        ((0, 1, 0), (0, 2, 0), (0, 3, 0), (0, 4, 0)), 32),
+}
+
+
+@pytest.mark.parametrize("name", PINNED)
+def test_exact_dp_pinned(name):
+    make, cost_hex, routes, searched = PINNED[name]
+    res = exact_dp(make())
+    assert (res.optimal_cost.hex(), res.optimal_routes, res.node_count_searched) == \
+        (cost_hex, routes, searched)

@@ -82,6 +82,11 @@ class TestGenerators:
                 widths[mw].append(np.mean(tw[1:, 1] - tw[1:, 0]))
         assert np.mean(widths[100.0]) < np.mean(widths[1000.0])
 
+    @pytest.mark.parametrize("max_window", [0.0, -1.0, math.inf, -math.inf, math.nan])
+    def test_tsptw_max_window_must_be_finite_and_positive(self, max_window):
+        with pytest.raises(ValueError, match="max_window must be finite and positive"):
+            generate_tsptw(5, seed=0, max_window=max_window)
+
     def test_tsptw_generated_instances_are_feasible(self):
         from routedp import exact_dp
         for seed in range(10):

@@ -204,6 +204,88 @@ class TestExpansion:
         assert sorted(kept_via.tolist()) == sorted(set(via_states.tolist()))
 
 
+@st.composite
+def vrp_beams(draw):
+    """A VRP context on 3-7 nodes with a random graph and a hand-built beam of
+    1-8 rows: visited customer sets (the empty set at the depot), costs and
+    remaining capacities.  Coordinates and costs lie on coarse or fine grids,
+    so via-depot moves tie exactly or differ by rounding only."""
+    n = draw(st.integers(3, 7))
+    top = draw(st.sampled_from([3, 997]))
+    coords = np.array(draw(st.lists(st.tuples(st.integers(0, top), st.integers(0, top)),
+                                    min_size=n, max_size=n)), dtype=float) / top
+    demands = np.array([0] + draw(st.lists(st.integers(1, 9), min_size=n - 1,
+                                           max_size=n - 1)), dtype=float)
+    capacity = float(draw(st.integers(int(demands.max()), int(demands.sum()))))
+    ctx = make_context(Instance(ProblemKind.VRP, coords, demands=demands, capacity=capacity))
+    adj = np.array(draw(st.lists(st.booleans(), min_size=n * n, max_size=n * n))).reshape(n, n)
+    ctx.adj = adj & ~np.eye(n, dtype=bool)
+    rows = []
+    for _ in range(draw(st.integers(1, 8))):
+        vis = draw(st.sets(st.integers(1, n - 1), max_size=n - 2))
+        cur = draw(st.sampled_from(sorted(vis))) if vis else DEPOT
+        rows.append((vis, cur, draw(st.integers(0, 12)) / draw(st.sampled_from([7.0, 3.1]))))
+    beam = beam_from_rows(ctx, rows)
+    beam.extra = np.array(draw(st.lists(st.integers(0, int(capacity)), min_size=len(rows),
+                                        max_size=len(rows))), dtype=float)
+    return ctx, beam
+
+
+def via_rounding_case():
+    """Parents at nodes 1 and 2 share a visited set; node 1 has the cheaper
+    return to the depot, but node 2 the cheaper via-depot move to node 3, as
+    cost + (c(i, 0) + c(0, 3)) rounds the other way."""
+    coords = np.array([[798, 187], [395, 443], [856, 967], [456, 556]]) / 997
+    inst = Instance(ProblemKind.VRP, coords, demands=np.array([0.0, 1, 1, 1]), capacity=3.0)
+    ctx = make_context(inst)
+    beam = beam_from_rows(ctx, [({1, 2}, 1, 0.4484916243674612), ({1, 2}, 2, 1 / 7)])
+    beam.extra = np.array([1.0, 1.0])
+    c = ctx.costs
+    assert beam.cost[0] + c[1, 0] < beam.cost[1] + c[2, 0]
+    assert beam.cost[0] + (c[1, 0] + c[0, 3]) > beam.cost[1] + (c[2, 0] + c[0, 3])
+    return ctx, beam
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=vrp_beams())
+@example(case=via_rounding_case())
+def test_vrp_expansion_prunes_like_every_feasible_move(case):
+    # The via-depot filter inside expand_vrp keeps, per visited-set group and
+    # target, the via-depot moves of least cost, which dominate the others: so
+    # pruning its candidates keeps what pruning every feasible move keeps.
+    ctx, beam = case
+    beam, groups = group_by_visited(beam)
+    n, d = ctx.n, ctx.instance.demands
+    pairs = []
+    for r, cur in enumerate(beam.current):
+        for j in range(1, n):
+            if beam.visited[r, j]:
+                continue
+            if cur != DEPOT and ctx.adj[cur, j] and d[j] <= beam.extra[r]:
+                pairs.append((r, j, beam.extra[r] - d[j]))
+            if (cur == DEPOT or ctx.adj[cur, DEPOT]) and ctx.adj[DEPOT, j]:
+                pairs.append((r, n + j, ctx.instance.capacity - d[j]))
+    ppos, col, extra = (np.array(v) for v in zip(*pairs)) if pairs else [np.zeros(0, int)] * 3
+    every = solver._build_candidates(ctx, beam, groups, solver._group_starts(groups),
+                                     ppos.astype(np.int64), col.astype(np.int64),
+                                     col.astype(np.int64) % n, extra.astype(float))
+
+    def survivors(cand):
+        kept = prune_capacity_time(cand, cand.extra) if len(cand) else cand
+        return sorted(zip(kept.parent_slot.tolist(), kept.action.tolist(),
+                          kept.cost.tolist(), kept.extra.tolist()))
+
+    cand = expand_vrp(beam, groups, ctx)
+    assert survivors(cand) == survivors(every)
+    least = {}
+    for g, a, c in zip(groups[every.parent_pos], every.action, every.cost):
+        if a >= n:
+            least[g, a] = min(c, least.get((g, a), np.inf))
+    want = {(s, a) for s, g, a, c in zip(every.parent_slot, groups[every.parent_pos],
+                                         every.action, every.cost) if a >= n and c == least[g, a]}
+    assert {(s, a) for s, a in zip(cand.parent_slot, cand.action) if a >= n} == want
+
+
 class TestExactScore:
     @pytest.mark.parametrize("generate", [generate_tsp, generate_vrp, generate_tsptw])
     def test_selected_score_equals_replay(self, generate, monkeypatch):
@@ -675,6 +757,56 @@ def test_full_beam_vrp_matches_exact_dp(inst, policy):
     assert abs(res.solution.cost - exact_dp(inst).optimal_cost) <= 1e-9
 
 
+@st.composite
+def any_solve(draw):
+    """A small instance of any problem (TSPTW windows random, often
+    infeasible), a config with any policy, threshold or knn and beam size,
+    and a random heatmap or none."""
+    kind = draw(st.sampled_from(list(ProblemKind)))
+    n = draw(st.integers(2, 8))
+    top = draw(st.sampled_from([3, 997]))
+    coords = np.array(draw(st.lists(st.tuples(st.integers(0, top), st.integers(0, top)),
+                                    min_size=n, max_size=n)), dtype=float) / top
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    extra = {}
+    if kind == ProblemKind.VRP:
+        demands = np.concatenate([[0.0], rng.integers(1, 10, size=n - 1)])
+        extra = dict(demands=demands, capacity=float(rng.integers(demands.max(),
+                                                                  demands.sum() + 1)))
+    elif kind == ProblemKind.TSPTW:
+        lo = rng.random(n) * 2
+        width = draw(st.sampled_from([0.5, 2.0, np.inf]))
+        tw = np.stack([lo, lo + (rng.random(n) * width if width < np.inf else width)], 1)
+        tw[DEPOT] = [0.0, np.inf]
+        extra = dict(time_windows=tw)
+    inst = Instance(kind, coords, **extra)
+    sparsify = draw(st.one_of(st.builds(dict, threshold=st.sampled_from([0.0, 1e-5, 0.3, 0.9])),
+                              st.builds(dict, knn=st.integers(1, n - 1))))
+    config = SolverConfig(beam_size=draw(st.sampled_from([1, 2, 5, 64])),
+                          policy=draw(st.sampled_from(list(Policy))),
+                          dominance_enabled=draw(st.booleans()), **sparsify)
+    heatmap = None
+    if draw(st.booleans()):
+        v = rng.random((n, n)) * 0.999
+        if kind != ProblemKind.TSPTW:
+            v = np.maximum(v, v.T)
+        np.fill_diagonal(v, 0.0)
+        heatmap = Heatmap(v, directed=kind == ProblemKind.TSPTW)
+    return inst, config, heatmap
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=any_solve())
+def test_any_solve_is_feasible_or_fails_cleanly(case):
+    inst, config, heatmap = case
+    res = solve(inst, config, heatmap=heatmap)
+    if res.found:
+        sim = replay(inst, res.solution.actions, graph=build_graph(inst, heatmap, config))
+        assert sim.feasible and sim.cost == res.solution.cost
+    else:
+        assert 0 <= res.failed_at_step <= inst.n - 1
+
+
 @pytest.mark.parametrize("generate", [generate_tsp, generate_vrp, generate_tsptw])
 def test_full_beam_memory_not_sized_by_beam_size(generate):
     # A full beam on 8 nodes holds a few hundred rows, so B = 10^6 (as in the
@@ -776,6 +908,10 @@ class TestConfig:
         ({"beam_size": np.float64(10.0)}, "beam_size must be an integer"),
         ({"beam_size": "10"}, "beam_size must be an integer"),
         ({"knn": 2.5}, "knn must be an integer"),
+        ({"dominance_enabled": "off"}, "dominance_enabled must be a bool"),
+        ({"dominance_enabled": 0}, "dominance_enabled must be a bool"),
+        ({"invert_cost_heat": 1}, "invert_cost_heat must be a bool"),
+        ({"invert_cost_heat": None}, "invert_cost_heat must be a bool"),
     ])
     def test_wrong_types_rejected(self, kwargs, match):
         with pytest.raises(TypeError, match=match):
@@ -784,6 +920,11 @@ class TestConfig:
     def test_numpy_integers_accepted(self):
         cfg = SolverConfig(beam_size=np.int64(10), knn=np.int32(3))
         assert (cfg.beam_size, cfg.knn) == (10, 3)
+
+    def test_numpy_bools_accepted(self):
+        cfg = SolverConfig(beam_size=4, dominance_enabled=np.bool_(False),
+                           invert_cost_heat=np.bool_(True))
+        assert (cfg.dominance_enabled, cfg.invert_cost_heat) == (False, True)
 
     def test_default_threshold_restored_when_both_unset(self):
         cfg = SolverConfig(beam_size=4, threshold=None, knn=None)
