@@ -7,7 +7,7 @@ top-B survivors form the next beam.  Exact oracles for small instances and
 a CLI are included.
 """
 
-from .decode import Replay, build_solution, decode_routes, replay
+from .decode import Replay, build_solution, replay
 from .exact import OracleResult, brute_force, exact_dp
 from .heatmaps import (Heatmap, SparseGraph, cost_heatmap, read_heatmap,
                        sparsify_knn, sparsify_threshold, symmetrize, write_heatmap)
@@ -22,7 +22,7 @@ __all__ = [
     "DEPOT", "Heatmap", "Instance", "OracleResult", "Policy", "PolicyTables",
     "PotentialState", "ProblemKind", "Replay", "SolveResult", "Solution",
     "SolverConfig", "SparseGraph", "backtrack", "brute_force", "build_policy_tables",
-    "build_solution", "cost_heatmap", "decode_routes", "euclidean_cost_matrix",
+    "build_solution", "cost_heatmap", "euclidean_cost_matrix",
     "exact_dp", "generate_tsp", "generate_tsptw", "generate_vrp",
     "initial_potential", "read_heatmap", "read_instance", "replay",
     "solve", "sparsify_knn", "sparsify_threshold", "symmetrize", "visit_update",

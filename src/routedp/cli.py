@@ -15,7 +15,7 @@ import math
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 from . import exact
@@ -30,9 +30,6 @@ GENERATORS = {
     ProblemKind.VRP: lambda n, seed, mw: generate_vrp(n, seed),
     ProblemKind.TSPTW: lambda n, seed, mw: generate_tsptw(n, seed, mw),
 }
-
-REPORT_COLUMNS = ["instance", "cost", "feasible", "beam_size", "policy",
-                  "sparsification", "solve_time", "heatmap_time", "error"]
 
 
 @dataclass
@@ -52,6 +49,9 @@ class ReportRow:
         return [self.instance, cost, str(int(self.feasible)), str(self.beam_size),
                 self.policy, self.sparsification, f"{self.solve_time:.6f}",
                 f"{self.heatmap_time:.6f}", self.error or ""]
+
+
+REPORT_COLUMNS = [f.name for f in fields(ReportRow)]
 
 
 def _write_csv(path: Path, rows) -> None:

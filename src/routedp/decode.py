@@ -1,10 +1,16 @@
 """Action semantics, forward re-simulation and solution verification.
 
 Action encoding (n = node count including the depot, node 0):
-  TSP / TSPTW: action j visits node j; the final action is 0 (return).
-  VRP: action j in [1, n) is a direct move to customer j, action n + j
-       moves to customer j via the depot, and the final action 0 returns
-       to the depot.
+  action j in [1, n) moves to customer j; in a VRP, action n + j moves to
+  customer j via the depot; a final action 0 returns to the depot.
+
+`replay` makes one walk for all three problems.  Each move adds its edge
+cost (a via-depot move adds c[i, 0] + c[0, j] as one term) and advances
+the clock; the resource check is the capacity for a VRP and the time
+window for a TSPTW.  A TSP (and a VRP's clock) has windows [0, inf), so
+its deadline check never fires.  The same walk records the routes: a
+route starts each time the walk leaves the depot, and a sequence without
+the final return leaves its last route open.
 
 Replay recomputes every tracked quantity from scratch, independently of
 the beam engine's incremental bookkeeping, so it doubles as the
@@ -13,6 +19,7 @@ verification oracle for solver output.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -29,6 +36,7 @@ class Replay:
     cost: float
     current: int
     visited: set[int]
+    routes: tuple[tuple[int, ...], ...]
     remaining_capacity: float | None
     time: float | None
     heat: float
@@ -51,111 +59,73 @@ def replay(
     graph: SparseGraph | None = None,
     tables: PolicyTables | None = None,
 ) -> Replay:
-    """Re-simulate actions, collecting any constraint violations."""
+    """Re-simulate actions in one walk, collecting any constraint violations."""
     n = instance.n
     costs = instance.cost_matrix()
-    kind = instance.kind
+    vrp = instance.kind == ProblemKind.VRP
+    tsptw = instance.kind == ProblemKind.TSPTW
     adj = graph.adj if graph is not None else None
+    capacity = float(instance.capacity) if vrp else math.inf
+    demands = instance.demands if vrp else np.zeros(n)
+    windows = instance.time_windows if tsptw else np.full((n, 2), [0.0, math.inf])
+    customers = set(range(1, n))
 
-    visited = initial_visited(kind)
+    visited = initial_visited(instance.kind)
     current = DEPOT
-    cost = 0.0
-    heat = 0.0
-    remcap = float(instance.capacity) if kind == ProblemKind.VRP else None
-    time = 0.0 if kind == ProblemKind.TSPTW else None
+    cost = heat = time = 0.0
+    remcap = capacity
     pot = initial_potential(tables, visited) if tables is not None else None
+    routes: list[list[int]] = []
     bad: list[str] = []
 
     def check_edge(i: int, j: int) -> None:
         if adj is not None and i != j and not adj[i, j]:
             bad.append(f"edge ({i}, {j}) not in sparse graph")
 
-    customers = n - 1
     for step, a in enumerate(actions):
-        is_last = step == len(actions) - 1
-        if kind == ProblemKind.VRP:
-            via = a >= n
-            node = a - n if via else a
-            if is_last and a == DEPOT:
-                if len(visited) != customers:
-                    bad.append("return to depot before all customers visited")
-                check_edge(current, DEPOT)
-                cost += costs[current, DEPOT]
-                current = DEPOT
-                continue
-            if node in visited or node == DEPOT or not 0 < node < n:
-                bad.append(f"step {step}: invalid or repeated customer {node}")
-                continue
-            if step == 0 and not via:
-                bad.append("first move must go through the depot")
-            d = instance.demands[node]
-            if via:
-                check_edge(current, DEPOT)
-                check_edge(DEPOT, node)
-                cost += costs[current, DEPOT] + costs[DEPOT, node]
-                remcap = instance.capacity - d
-                if tables is not None:
-                    heat += tables.via_depot_heat[current, node]
-            else:
-                check_edge(current, node)
-                if d > remcap + 1e-12:
-                    bad.append(f"step {step}: demand {d} exceeds remaining capacity {remcap}")
-                cost += costs[current, node]
-                remcap -= d
-                if tables is not None:
-                    heat += tables.heat[current, node]
+        back = step == len(actions) - 1 and a == DEPOT
+        via = vrp and a >= n
+        node = a - n if via else a
+        if back:
+            if not customers <= visited:
+                bad.append("return to depot before all customers visited")
+        elif node in visited or not 0 < node < n:
+            bad.append(f"step {step}: invalid or repeated node {node}")
+            continue
+        elif vrp and not via and current == DEPOT:
+            bad.append(f"step {step}: a route must leave the depot by a via-depot move")
+        if via:
+            check_edge(current, DEPOT)
+            check_edge(DEPOT, node)
+            move = costs[current, DEPOT] + costs[DEPOT, node]
+        else:
+            check_edge(current, node)
+            move = costs[current, node]
+        cost += move
+        if tables is not None and not (vrp and back):   # a VRP return scores no heat
+            heat += (tables.via_depot_heat if via else tables.heat)[current, node]
+        time = max(time + move, windows[node, 0])
+        if time > windows[node, 1]:
+            bad.append(f"step {step}: arrival {time} after deadline "
+                       f"{windows[node, 1]} at node {node}")
+        if via and current != DEPOT:
+            routes[-1].append(DEPOT)
+        if via or current == DEPOT:   # the walk leaves the depot: a new route
+            routes.append([DEPOT])
+        routes[-1].append(int(node))
+        if not back:
+            load = capacity if via else remcap
+            if demands[node] > load + 1e-12:
+                bad.append(f"step {step}: demand {demands[node]} exceeds remaining capacity {load}")
+            remcap = load - demands[node]
             visited.add(node)
             if pot is not None:
                 pot = visit_update(pot, tables, node)
-            current = node
-        else:
-            if is_last and a == DEPOT and DEPOT in visited:
-                if len(visited) != n:
-                    bad.append("return to start before all nodes visited")
-                check_edge(current, DEPOT)
-                cost += costs[current, DEPOT]
-                if tables is not None:
-                    heat += tables.heat[current, DEPOT]
-                if kind == ProblemKind.TSPTW:
-                    time = max(time + costs[current, DEPOT], instance.time_windows[DEPOT, 0])
-                    if time > instance.time_windows[DEPOT, 1]:
-                        bad.append("late return to depot")
-                current = DEPOT
-                continue
-            if a in visited or not 0 <= a < n:
-                bad.append(f"step {step}: invalid or repeated node {a}")
-                continue
-            check_edge(current, a)
-            cost += costs[current, a]
-            if tables is not None:
-                heat += tables.heat[current, a]
-            if kind == ProblemKind.TSPTW:
-                time = max(time + costs[current, a], instance.time_windows[a, 0])
-                if time > instance.time_windows[a, 1]:
-                    bad.append(f"step {step}: arrival {time} after deadline "
-                               f"{instance.time_windows[a, 1]} at node {a}")
-            visited.add(a)
-            if pot is not None:
-                pot = visit_update(pot, tables, a)
-            current = a
+        current = node
 
-    return Replay(cost, current, visited, remcap, time, heat, pot, not bad, bad)
-
-
-def decode_routes(instance: Instance, actions: list[int] | tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
-    """Depot-to-depot node sequences implied by an action sequence."""
-    n = instance.n
-    if instance.kind != ProblemKind.VRP:
-        return ((DEPOT, *(a for a in actions[:-1]), DEPOT),)
-    routes: list[list[int]] = []
-    for step, a in enumerate(actions):
-        if step == len(actions) - 1 and a == DEPOT:
-            break
-        if a >= n:
-            routes.append([DEPOT, a - n])
-        else:
-            routes[-1].append(a)
-    return tuple(tuple(r) + (DEPOT,) for r in routes)
+    return Replay(cost, current, visited, tuple(map(tuple, routes)),
+                  remcap if vrp else None, time if tsptw else None,
+                  heat, pot, not bad, bad)
 
 
 def build_solution(
@@ -163,12 +133,12 @@ def build_solution(
     actions: list[int] | tuple[int, ...],
     graph: SparseGraph | None = None,
 ) -> Solution:
-    """Decode and independently verify an action sequence."""
+    """Decode and independently verify an action sequence.
+
+    The solution is feasible when the walk breaks no rule, visits every
+    customer and ends at the depot.
+    """
     sim = replay(instance, actions, graph=graph)
-    complete = (len(sim.visited) == (instance.n - 1 if instance.kind == ProblemKind.VRP
-                                     else instance.n)
-                and sim.current == DEPOT)
-    return Solution(tuple(int(a) for a in actions),
-                    decode_routes(instance, actions),
-                    float(sim.cost),
+    complete = set(range(1, instance.n)) <= sim.visited and sim.current == DEPOT
+    return Solution(tuple(int(a) for a in actions), sim.routes, float(sim.cost),
                     sim.feasible and complete)

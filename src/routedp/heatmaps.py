@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .instances import DEPOT
+from .instances import DEPOT, _readonly
 
 # Values of exactly 1 are clamped just inside the open upper bound.
 _ONE_CLAMP = 1.0 - 1e-9
@@ -19,12 +19,6 @@ _ONE_CLAMP = 1.0 - 1e-9
 
 class HeatmapFormatError(ValueError):
     """Raised when a heatmap file is malformed."""
-
-
-def _readonly(a: np.ndarray) -> np.ndarray:
-    a = np.ascontiguousarray(a)
-    a.flags.writeable = False
-    return a
 
 
 @dataclass(frozen=True)

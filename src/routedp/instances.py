@@ -201,6 +201,15 @@ def write_instance(instance: Instance, path: str | Path) -> None:
     Path(path).write_text(json.dumps(obj), encoding="utf-8")
 
 
+def _require_numbers(path: Path, key: str, value) -> None:
+    """Raise unless value is a JSON number or nested lists of them."""
+    if isinstance(value, list):
+        for v in value:
+            _require_numbers(path, key, v)
+    elif isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise InstanceFormatError(f"{path}: '{key}' holds {value!r}, which is not a number")
+
+
 def read_instance(path: str | Path) -> Instance:
     path = Path(path)
     try:
@@ -236,6 +245,9 @@ def read_instance(path: str | Path) -> Instance:
             raise InstanceFormatError(f"{path}: 'time_windows' must be a list of "
                                       "two-number lists") from None
 
+    for key, value in (("coords", obj["coords"]), ("demands", demands), ("time_windows", tw)):
+        if value is not None:
+            _require_numbers(path, key, value)
     try:
         return Instance(kind, np.asarray(obj["coords"], dtype=float),
                         demands=None if demands is None else np.asarray(demands, dtype=float),

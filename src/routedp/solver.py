@@ -41,6 +41,8 @@ class SolverConfig:
         for name in ("beam_size", "knn"):
             value = getattr(self, name)
             try:
+                if isinstance(value, bool):   # operator.index(True) is 1
+                    raise TypeError
                 if value is not None:
                     operator.index(value)
             except TypeError:

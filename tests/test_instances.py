@@ -215,6 +215,26 @@ class TestInstanceIO:
             read_instance(path)
         assert str(path) in str(err.value)
 
+    @pytest.mark.parametrize("body,key", [
+        ('{"problem": "tsp", "coords": [[0, 0], [1, "1"]]}', "coords"),
+        ('{"problem": "tsp", "coords": [[0, 0], [1, true]]}', "coords"),
+        ('{"problem": "vrp", "coords": [[0,0],[1,1]], "demands": [0, "1"], "capacity": 5}',
+         "demands"),
+        ('{"problem": "vrp", "coords": [[0,0],[1,1]], "demands": [0, true], "capacity": 5}',
+         "demands"),
+        ('{"problem": "tsptw", "coords": [[0,0],[1,1]], "time_windows": [[0, null], ["0", 5]]}',
+         "time_windows"),
+        ('{"problem": "tsptw", "coords": [[0,0],[1,1]], "time_windows": [[0, null], [0, false]]}',
+         "time_windows"),
+        ('{"problem": "tsptw", "coords": [[0,0],[1,1]], "time_windows": [[null, null], [0, 5]]}',
+         "time_windows"),
+    ])
+    def test_non_number_value_is_reported(self, tmp_path, body, key):
+        path = tmp_path / "bad.json"
+        path.write_text(body)
+        with pytest.raises(InstanceFormatError, match=f"'{key}' holds .* not a number"):
+            read_instance(path)
+
     def test_unknown_problem_rejected(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text('{"problem": "mstp", "coords": [[0,0],[1,1]]}')

@@ -912,6 +912,8 @@ class TestConfig:
         ({"dominance_enabled": 0}, "dominance_enabled must be a bool"),
         ({"invert_cost_heat": 1}, "invert_cost_heat must be a bool"),
         ({"invert_cost_heat": None}, "invert_cost_heat must be a bool"),
+        ({"beam_size": True}, "beam_size must be an integer"),
+        ({"knn": True}, "knn must be an integer"),
     ])
     def test_wrong_types_rejected(self, kwargs, match):
         with pytest.raises(TypeError, match=match):
