@@ -225,20 +225,20 @@ def read_instance(path: str | Path) -> Instance:
         raise InstanceFormatError(f"{path}: missing field 'problem'") from None
     except ValueError:
         raise InstanceFormatError(f"{path}: unknown problem {obj['problem']!r}") from None
-    if "coords" not in obj:
-        raise InstanceFormatError(f"{path}: missing field 'coords'")
+    # The fields of each problem, which must be there; no other problem's may.
+    own = ("coords",) + {ProblemKind.VRP: ("demands", "capacity"),
+                         ProblemKind.TSPTW: ("time_windows",)}.get(kind, ())
+    for key in ("coords", "demands", "capacity", "time_windows"):
+        if (key in obj) != (key in own):
+            raise InstanceFormatError(f"{path}: {'unexpected' if key in obj else 'missing'} "
+                                      f"field '{key}' for problem '{kind.value}'")
 
     demands = capacity = tw = None
     if kind == ProblemKind.VRP:
-        for key in ("demands", "capacity"):
-            if key not in obj:
-                raise InstanceFormatError(f"{path}: missing field '{key}' for problem 'vrp'")
         demands, capacity = obj["demands"], obj["capacity"]
         if isinstance(capacity, bool) or not isinstance(capacity, (int, float)):
             raise InstanceFormatError(f"{path}: 'capacity' {capacity!r} is not a number")
     if kind == ProblemKind.TSPTW:
-        if "time_windows" not in obj:
-            raise InstanceFormatError(f"{path}: missing field 'time_windows' for problem 'tsptw'")
         try:
             tw = [[l, math.inf if u is None else u] for l, u in obj["time_windows"]]
         except (TypeError, ValueError):

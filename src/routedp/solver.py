@@ -2,12 +2,13 @@
 
 One solve runs single-threaded: the beam for step t+1 is built from the
 top-B scoring non-dominated expansions of the beam at step t.  A step
-groups the beam by visited set, expands every entry along the sparse graph
+groups the beam's rows by visited set (by a set key each row carries from
+its parent; rows never move), expands every row along the sparse graph
 (feasibility only), prunes dominated candidates in the DP states that can
 reach the top B, selects the top B and builds the next beam; a candidate's
 cost and score are its parent's plus entries of per-solve (node, action)
 tables, and the score also adds a regain row per visited-set group, carried
-from step to step.  Per-step (parent, action) records go to a trace from
+from step to step.  Per-step (parent row, action) records go to a trace from
 which the winning solution is backtracked and independently re-simulated.
 """
 
@@ -72,22 +73,9 @@ class SolveResult:
         return self.solution is not None
 
 
-def pack_visited(mask: np.ndarray) -> np.ndarray:
-    """Pack boolean visited rows into canonical little-endian 64-bit words."""
-    words = np.zeros((mask.shape[0], -(-mask.shape[1] // 64) * 8), dtype=np.uint8)
-    words[:, :-(-mask.shape[1] // 8)] = np.packbits(mask, axis=1, bitorder="little")
-    return words.view("<u8")
-
-
-def _take_rows(rows, idx: np.ndarray):
-    # Every per-row array indexed by idx; all rows share one regain table.
-    return replace(rows, **{k: v[idx] for k, v in vars(rows).items()
-                            if v is not None and k != "regain"})
-
-
 @dataclass
 class Beam:
-    """Struct-of-arrays beam state; row order is the trace slot order.
+    """Struct-of-arrays beam state; row i is trace slot i (select_top_b order).
 
     Children's scores follow from the visited rows (_Context.step_score)."""
 
@@ -96,41 +84,38 @@ class Beam:
     score: np.ndarray
     visited: np.ndarray        # (m, n) bool
     extra: np.ndarray | None   # remcap (VRP) / time (TSPTW)
-    slots: np.ndarray          # trace slot of each row
+    key: np.ndarray            # wrapping uint64 sum of _Context.set_key over visited
     origin: np.ndarray | None = None   # state_id of the candidate that made the row
     regain: np.ndarray | None = None   # table of its parents' groups (_regain_table)
-
-    permuted = _take_rows
 
     @property
     def width(self) -> int:
         return self.cost.shape[0]
 
 
-def group_by_visited(beam: Beam) -> tuple[Beam, np.ndarray]:
-    """Reorder the beam so equal visited sets are contiguous.
+def group_by_visited(beam: Beam) -> tuple[np.ndarray, np.ndarray]:
+    """Group the rows by visited set, without moving them.
 
-    Returns the permuted beam and a non-decreasing group ordinal per row.
-    The beam arrives in select_top_b order with slot == row, i.e. already
-    in the global tie-break order (score desc, cost asc, current asc, slot
-    asc), so a stable sort on the packed visited words alone keeps that
-    order within each group.
+    Returns an order of the rows in which equal visited sets are contiguous,
+    and each row's group ordinal along it (non-decreasing from 0).  The order
+    sorts the set keys; rows with equal keys must hold equal sets, and if two
+    do not (a key collision), it sorts the exact ranks of the visited rows.
+    No step reads the order of the rows within a group.
     """
-    packed = pack_visited(beam.visited)
-    perm = np.lexsort(packed.T)
-    packed = packed[perm]
-    first = np.empty(beam.width, dtype=bool)
-    first[0] = True
-    first[1:] = (packed[1:] != packed[:-1]).any(axis=1)
-    return beam.permuted(perm), np.cumsum(first) - 1
+    order = np.argsort(beam.key)
+    key = beam.key[order]
+    tie = np.flatnonzero(key[1:] == key[:-1])
+    if not np.array_equal(beam.visited[order[tie]], beam.visited[order[tie + 1]]):
+        rank = np.unique(beam.visited, axis=0, return_inverse=True)[1].reshape(-1)
+        return np.argsort(rank), np.sort(rank)
+    return order, np.cumsum(np.concatenate(([0], key[1:] != key[:-1])))
 
 
 @dataclass
 class Candidates:
     """Flat candidate arrays of one expansion step (see _build_candidates)."""
 
-    parent_pos: np.ndarray    # row in the (grouped) parent beam
-    parent_slot: np.ndarray   # trace slot of the parent
+    parent_pos: np.ndarray    # parent row, which is its trace slot
     target: np.ndarray        # node being visited
     action: np.ndarray        # action code (decode.py)
     state_id: np.ndarray      # group * n + target, so >= 0
@@ -139,7 +124,10 @@ class Candidates:
     extra: np.ndarray | None = None   # remcap (VRP) / time (TSPTW)
     regain: np.ndarray | None = None  # table of the parents' groups (_regain_table)
 
-    take = _take_rows
+    def take(self, idx: np.ndarray) -> Candidates:
+        # Every per-row array indexed by idx; all rows share one regain table.
+        return replace(self, **{k: v[idx] for k, v in vars(self).items()
+                                if v is not None and k != "regain"})
 
     def __len__(self) -> int:
         return self.cost.shape[0]
@@ -156,6 +144,10 @@ class _Context:
     @property
     def n(self) -> int:
         return self.instance.n
+
+    @cached_property
+    def set_key(self) -> np.ndarray:
+        return np.random.default_rng(0).integers(2**64, size=self.n, dtype=np.uint64)
 
     @cached_property
     def start_potential(self) -> PotentialState:
@@ -206,13 +198,8 @@ class _Context:
         return self.instance.time_windows[:, 1:] - self.costs.T
 
 
-def _group_starts(groups: np.ndarray) -> np.ndarray:
-    """First row of each visited-set group."""
-    return np.searchsorted(groups, np.arange(groups[-1] + 1))
-
-
-def _build_candidates(ctx: _Context, beam: Beam, groups: np.ndarray, starts: np.ndarray,
-                      ppos: np.ndarray, col: np.ndarray, tgt: np.ndarray,
+def _build_candidates(ctx: _Context, beam: Beam, groups: np.ndarray, ppos: np.ndarray,
+                      col: np.ndarray, tgt: np.ndarray,
                       extra: np.ndarray | None = None) -> Candidates:
     """Candidates for the feasible actions col[k], moves to tgt[k] = col[k] % n,
     of parent rows ppos[k], with the expander's extra (remaining capacity or
@@ -222,17 +209,20 @@ def _build_candidates(ctx: _Context, beam: Beam, groups: np.ndarray, starts: np.
     cost = beam.cost[ppos] + ctx.step_cost[cur, col]
     state_id = groups[ppos] * np.int64(ctx.n) + tgt
     # Row g of the table belongs to group g, so its entry (g, t) sits at state_id.
-    table = None if ctx.config.policy.ranks_by_cost else _regain_table(ctx, beam, starts)
+    table = None if ctx.config.policy.ranks_by_cost else _regain_table(ctx, beam, groups)
     score = -cost if table is None else (beam.score[ppos] + ctx.step_score[cur, col]
                                          + table.ravel()[state_id])
-    return Candidates(ppos, beam.slots[ppos], tgt, col, state_id, cost, score, extra, table)
+    return Candidates(ppos, tgt, col, state_id, cost, score, extra, table)
 
 
-def _regain_table(ctx: _Context, beam: Beam, starts: np.ndarray) -> np.ndarray:
+def _regain_table(ctx: _Context, beam: Beam, groups: np.ndarray) -> np.ndarray:
     """Per group, the regain sum over its visited set (see _Context): a row made
     by state_id = g * n + t has group g's set plus t, so its group's row is row
-    g of the parents' table plus t's pot_regain row (see _init_beam for the root)."""
-    parent, target = np.divmod(beam.origin[starts], ctx.n)
+    g of the parents' table plus t's pot_regain row (see _init_beam for the root).
+    The sums are exact, so any row of a group gives its table row."""
+    origin = np.empty(groups.max() + 1, dtype=np.int64)
+    origin[groups] = beam.origin
+    parent, target = np.divmod(origin, ctx.n)
     table = np.take(beam.regain, parent, axis=0)
     for i in range(0, len(table), 1024):   # in slices, to keep temporaries small
         table[i:i + 1024] += ctx.pot_regain[target[i:i + 1024]]
@@ -249,7 +239,7 @@ def expand_tsp(beam: Beam, groups: np.ndarray, ctx: _Context) -> Candidates:
     else:
         open_cells = np.flatnonzero(ctx.adj[beam.current] & ~beam.visited)
     ppos, tgt = np.divmod(open_cells, ctx.n)
-    return _build_candidates(ctx, beam, groups, _group_starts(groups), ppos, tgt, tgt)
+    return _build_candidates(ctx, beam, groups, ppos, tgt, tgt)
 
 
 def expand_vrp(beam: Beam, groups: np.ndarray, ctx: _Context) -> Candidates:
@@ -274,18 +264,20 @@ def expand_vrp(beam: Beam, groups: np.ndarray, ctx: _Context) -> Candidates:
     # This filter applies whatever dominance_enabled is set to.
     has_ret = (beam.current == DEPOT) | ctx.adj[beam.current, DEPOT]
     ret = np.where(has_ret, beam.cost + ctx.costs[beam.current, DEPOT], np.inf)
-    starts = _group_starts(groups)
-    low = np.minimum.reduceat(ret, starts)[groups]
+    low = np.full(groups.max() + 1, np.inf)
+    np.minimum.at(low, groups, ret)
+    low = low[groups]
     near = has_ret & (ret <= low + 4 * np.finfo(float).eps * (low + ctx.costs[DEPOT].max()))
     feas[near, n:] = ctx.adj[DEPOT] & unvisited[near]
     rows = np.flatnonzero(near & (np.bincount(groups, weights=near)[groups] > 1))
     via = beam.cost[rows, None] + ctx.step_cost[beam.current[rows], n:]
-    first = np.diff(groups[rows], prepend=-1) != 0
-    feas[rows, n:] &= via == np.minimum.reduceat(via, np.flatnonzero(first))[np.cumsum(first) - 1]
+    least = np.full((groups.max() + 1, n), np.inf)
+    np.minimum.at(least, groups[rows], via)
+    feas[rows, n:] &= via == least[groups[rows]]
     ppos, col = np.divmod(np.flatnonzero(feas), 2 * n)
     tgt = col % n
     remcap = np.where(col >= n, float(ctx.instance.capacity), beam.extra[ppos])
-    return _build_candidates(ctx, beam, groups, starts, ppos, col, tgt,
+    return _build_candidates(ctx, beam, groups, ppos, col, tgt,
                              extra=remcap - ctx.instance.demands[tgt])
 
 
@@ -298,17 +290,17 @@ def expand_tsptw(beam: Beam, groups: np.ndarray, ctx: _Context) -> Candidates:
     # deadline u(1) in U_g bounds latest[g, v], so no j with fl(u_j - max c) > u(1)
     # is the minimum (+inf deadlines too).  Groups all have the same number of
     # unvisited nodes: fold the longest such prefix in deadline order, exactly.
-    starts = _group_starts(groups)
-    order = np.nonzero(~beam.visited[starts][:, ctx.by_deadline])[1]
-    nodes = ctx.by_deadline[order.reshape(starts.size, -1)]
+    unvisited = np.empty((groups.max() + 1, ctx.n), dtype=bool)
+    unvisited[groups] = ~beam.visited   # a group's rows share one set
+    order = np.nonzero(unvisited[:, ctx.by_deadline])[1]
+    nodes = ctx.by_deadline[order.reshape(len(unvisited), -1)]
     prefix = (hi[nodes] - ctx.costs.max() <= hi[nodes[:, :1]]).sum(axis=1).max(initial=0)
-    latest = np.full((starts.size, ctx.n), np.inf)
+    latest = np.full(unvisited.shape, np.inf)
     for j in nodes[:, :prefix].T:
         np.minimum(latest, ctx.slack_to[j], out=latest)
     flat = np.flatnonzero(ctx.adj[beam.current] & ~beam.visited & (arrive <= latest[groups]))
     ppos, tgt = np.divmod(flat, ctx.n)
-    return _build_candidates(ctx, beam, groups, starts, ppos, tgt, tgt,
-                             extra=arrive.ravel()[flat])
+    return _build_candidates(ctx, beam, groups, ppos, tgt, tgt, extra=arrive.ravel()[flat])
 
 
 def _prune_contested(cand: Candidates, groups: np.ndarray | None, kernel,
@@ -346,9 +338,9 @@ def _prune_contested(cand: Candidates, groups: np.ndarray | None, kernel,
 
 
 def _tie_keys(cand: Candidates, i) -> tuple[np.ndarray, ...]:
-    # Minor to major, so ties go to the higher action, score, then lower slot.  In
-    # one DP state the action is the target, or n + target for a VRP via-depot move.
-    return (cand.parent_slot[i], -cand.score[i], -cand.action[i])
+    # Minor to major, so ties go to the higher action, score, then lower parent row.
+    # In one DP state the action is the target, or n + target for a VRP via move.
+    return (cand.parent_pos[i], -cand.score[i], -cand.action[i])
 
 
 def prune_capacity_time(cand: Candidates, objective: np.ndarray | None,
@@ -360,7 +352,7 @@ def prune_capacity_time(cand: Candidates, objective: np.ndarray | None,
     for TSPTW negated time, each with the parent groups.  For VRP pass the
     remaining capacity and no groups: direct and via-depot moves from one
     parent share states.  Exact ties go to via-depot moves first, then the
-    higher score, then the lower parent slot.  beam_size: see _prune_contested.
+    higher score, then the lower parent row.  beam_size: see _prune_contested.
     """
     return _prune_contested(cand, groups, lambda i: prune_pareto_front(
         cand.state_id[i], cand.cost[i], None if objective is None else objective[i],
@@ -370,16 +362,16 @@ def prune_capacity_time(cand: Candidates, objective: np.ndarray | None,
 def select_top_b(cand: Candidates, beam_size: int) -> Candidates:
     """Best beam_size candidates under the global total order.
 
-    The order is score desc, cost asc, current (target) asc, parent slot
-    asc, action asc; it is strict, as (parent slot, action) names a
-    candidate.  Survivors are returned in that order, found by one argsort of
-    the scores that reach the beam_size-th best and a lexsort of exact ties.
+    The order is score desc, cost asc, current (target) asc, parent row asc,
+    action asc; it is strict, as (parent row, action) names a candidate.
+    Survivors are returned in that order, found by one argsort of the scores
+    that reach the beam_size-th best and a lexsort of exact ties.
     """
     neg = -cand.score
     sel = np.arange(len(cand))
     if len(cand) > beam_size:
         sel = np.flatnonzero(neg <= np.partition(neg, beam_size - 1)[beam_size - 1])
-    order = argsort_ties(neg[sel], (cand.action[sel], cand.parent_slot[sel],
+    order = argsort_ties(neg[sel], (cand.action[sel], cand.parent_pos[sel],
                                     cand.target[sel], cand.cost[sel]))
     return cand.take(sel[order[:beam_size]])
 
@@ -409,16 +401,17 @@ def _init_beam(ctx: _Context) -> Beam:
     score = -0.0 if ctx.config.policy.ranks_by_cost else ctx.start_potential.total
     # The root row's regain table is one zero row, its origin group 0 and node 0.
     return Beam(np.zeros(1), np.full(1, DEPOT, dtype=np.int64), np.array([score]),
-                visited, extra, np.zeros(1, dtype=np.int32),
+                visited, extra, (ctx.set_key * visited).sum(axis=1),
                 origin=np.zeros(1, dtype=np.int64), regain=np.zeros((1, ctx.n)))
 
 
-def _next_beam(beam: Beam, cand: Candidates) -> Beam:
+def _next_beam(beam: Beam, cand: Candidates, ctx: _Context) -> Beam:
     # cand holds fresh arrays from select_top_b, so the beam takes them over.
     visited = beam.visited[cand.parent_pos]
     visited[np.arange(len(cand)), cand.target] = True
-    return Beam(cand.cost, cand.target, cand.score, visited, cand.extra,
-                np.arange(len(cand), dtype=np.int32), cand.state_id, cand.regain)
+    key = beam.key[cand.parent_pos] + ctx.set_key[cand.target]   # wraps
+    return Beam(cand.cost, cand.target, cand.score, visited, cand.extra, key,
+                cand.state_id, cand.regain)
 
 
 def effective_heatmap(instance: Instance, heatmap: Heatmap | None,
@@ -484,7 +477,9 @@ def solve(
     max_width = 1
 
     for step in range(visit_steps):
-        beam, groups = group_by_visited(beam)
+        order, ordinals = group_by_visited(beam)
+        groups = np.empty_like(ordinals)
+        groups[order] = ordinals   # each row's group
         cand = expand(beam, groups, ctx)
         beam.regain = None   # cand holds this step's table; free the parents'
         if len(cand) == 0:
@@ -496,8 +491,8 @@ def solve(
                                        config.beam_size)
 
         cand = select_top_b(cand, config.beam_size)
-        trace.append((cand.parent_slot, cand.action.astype(np.int32)))
-        beam = _next_beam(beam, cand)
+        trace.append((cand.parent_pos.astype(np.int32), cand.action.astype(np.int32)))
+        beam = _next_beam(beam, cand, ctx)
         max_width = max(max_width, beam.width)
 
     # Return step: close the tour / final route at the depot.
@@ -510,10 +505,9 @@ def solve(
     if ok.size == 0:
         return SolveResult(None, failed_at_step=visit_steps, steps=visit_steps,
                            max_beam_width=max_width)
-    order = np.lexsort((beam.slots[ok], -beam.score[ok], final_cost[ok]))
-    win = ok[order[0]]
+    win = ok[np.lexsort((ok, -beam.score[ok], final_cost[ok]))[0]]
 
-    actions = backtrack(trace, int(beam.slots[win])) + [DEPOT]
+    actions = backtrack(trace, int(win)) + [DEPOT]
     solution = build_solution(instance, actions, graph=graph)
     if not solution.feasible:
         raise RuntimeError("internal error: backtracked solution failed re-simulation")

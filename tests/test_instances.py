@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -234,6 +235,35 @@ class TestInstanceIO:
         path.write_text(body)
         with pytest.raises(InstanceFormatError, match=f"'{key}' holds .* not a number"):
             read_instance(path)
+
+    @pytest.mark.parametrize("body,key", [
+        ('{"problem": "tsp", "coords": [[0,0],[1,1]], "demands": [0, "x"], "capacity": "five",'
+         ' "time_windows": 7}', "demands"),
+        ('{"problem": "tsp", "coords": [[0,0],[1,1]], "capacity": 5}', "capacity"),
+        ('{"problem": "tsp", "coords": [[0,0],[1,1]], "time_windows": [[0, null], [0, 5]]}',
+         "time_windows"),
+        ('{"problem": "vrp", "coords": [[0,0],[1,1]], "demands": [0,1], "capacity": 5,'
+         ' "time_windows": [[0, null], [0, 5]]}', "time_windows"),
+        ('{"problem": "tsptw", "coords": [[0,0],[1,1]], "time_windows": [[0, null], [0, 5]],'
+         ' "demands": [0, 1]}', "demands"),
+        ('{"problem": "tsptw", "coords": [[0,0],[1,1]], "time_windows": [[0, null], [0, 5]],'
+         ' "capacity": 5}', "capacity"),
+    ])
+    def test_another_problems_field_is_rejected(self, tmp_path, body, key):
+        path = tmp_path / "bad.json"
+        path.write_text(body)
+        with pytest.raises(InstanceFormatError, match=f"unexpected field '{key}'"):
+            read_instance(path)
+
+    @pytest.mark.parametrize("generate,fields", [
+        (generate_tsp, set()),
+        (generate_vrp, {"demands", "capacity"}),
+        (generate_tsptw, {"time_windows"}),
+    ])
+    def test_written_fields_are_the_problems_own(self, tmp_path, generate, fields):
+        path = tmp_path / "inst.json"
+        write_instance(generate(5, seed=0), path)
+        assert set(json.loads(path.read_text())) == {"problem", "coords"} | fields
 
     def test_unknown_problem_rejected(self, tmp_path):
         path = tmp_path / "bad.json"

@@ -1,3 +1,4 @@
+import functools
 import math
 import tracemalloc
 
@@ -12,8 +13,7 @@ from routedp import (DEPOT, Heatmap, Policy, ProblemKind, SolverConfig,
 from routedp import solver
 from routedp.instances import Instance
 from routedp.solver import (Beam, Candidates, _Context, _init_beam, expand_tsp,
-                            expand_vrp, group_by_visited, pack_visited,
-                            prune_capacity_time, select_top_b,
+                            expand_vrp, group_by_visited, prune_capacity_time, select_top_b,
                             build_graph, effective_heatmap)
 from routedp.policy import build_policy_tables, initial_potential
 from routedp.heatmaps import cost_heatmap, symmetrize
@@ -28,6 +28,19 @@ def make_context(instance, config=None):
     tables = build_policy_tables(eff, costs, instance.kind,
                                  use_potential=config.policy.uses_potential)
     return _Context(instance, costs, graph.adj, tables, config)
+
+
+def set_keys(ctx, visited):
+    """Beam.key of each visited row, from the solve's own set_key table."""
+    return (ctx.set_key * visited).sum(axis=1)
+
+
+def row_groups(beam):
+    """Each row's visited-set group, derived from group_by_visited as solve does."""
+    order, ordinals = group_by_visited(beam)
+    groups = np.empty_like(ordinals)
+    groups[order] = ordinals
+    return groups
 
 
 def beam_from_rows(ctx, rows):
@@ -45,7 +58,7 @@ def beam_from_rows(ctx, rows):
         current[i], cost[i] = cur, c
     pot = [initial_potential(ctx.tables, vis) for vis, _, _ in rows]
     return Beam(cost, current, np.array([p.total for p in pot]), visited, None,
-                np.arange(m, dtype=np.int64), origin=np.arange(m, dtype=np.int64) * n,
+                set_keys(ctx, visited), origin=np.arange(m, dtype=np.int64) * n,
                 regain=visited.astype(float) @ ctx.pot_regain)
 
 
@@ -54,14 +67,14 @@ class TestGrouping:
         inst = generate_tsp(6, seed=0)
         ctx = make_context(inst)
         rows = [({0, i}, i, float(i)) for i in range(1, 6)]
-        beam, groups = group_by_visited(beam_from_rows(ctx, rows))
+        groups = row_groups(beam_from_rows(ctx, rows))
         assert len(set(groups.tolist())) == 5
 
     def test_identical_sets_merge(self):
         inst = generate_tsp(6, seed=0)
         ctx = make_context(inst)
         rows = [({0, 1, 2}, cur, float(cur)) for cur in (1, 2, 1, 2)]
-        beam, groups = group_by_visited(beam_from_rows(ctx, rows))
+        groups = row_groups(beam_from_rows(ctx, rows))
         assert set(groups.tolist()) == {0}
 
     def test_matches_hash_grouping_oracle(self):
@@ -75,7 +88,8 @@ class TestGrouping:
                                        replace=False).tolist())
             rows.append((vis, int(min(v for v in vis if v != 0) if len(vis) > 1 else 0),
                          float(rng.random())))
-        beam, groups = group_by_visited(beam_from_rows(ctx, rows))
+        beam = beam_from_rows(ctx, rows)
+        groups = row_groups(beam)
         seen = {}
         for row in range(beam.width):
             key = frozenset(np.flatnonzero(beam.visited[row]).tolist())
@@ -86,59 +100,86 @@ class TestGrouping:
                 assert g not in seen.values()
                 seen[key] = g
 
-    def test_word_sort_matches_six_key_lexsort(self, monkeypatch):
-        # A beam in global order (score desc, cost, current, slot == row)
-        # groups like the full tie-break lexsort, on real beams and on a
-        # synthetic one with many exact ties.
-        seen, group = [], solver.group_by_visited
-
-        def record(beam):
-            out = group(beam)
-            seen.append((beam, out[0]))
-            return out
-        monkeypatch.setattr(solver, "group_by_visited", record)
-        for inst in (generate_tsp(70, seed=2), generate_vrp(70, seed=2)):
-            solve(inst, SolverConfig(beam_size=64, policy=Policy.COST_HEAT_POTENTIAL))
-        monkeypatch.undo()
-
-        rng = np.random.default_rng(2)
-        ctx = make_context(generate_tsp(70, seed=2))
-        sets = [{0} | set(rng.choice(np.arange(1, 70), size=4, replace=False).tolist())
-                for _ in range(5)]
-        rows = []
-        for k in rng.integers(0, 5, size=200):
-            vis = sets[k]
-            rows.append((vis, int(rng.choice(sorted(vis))), float(rng.integers(0, 3))))
+    def test_zero_keys_still_split_distinct_sets(self):
+        # Every key collides, so the grouping falls back to the exact set ranks.
+        ctx = make_context(generate_tsp(6, seed=0))
+        rows = [({0, 1, 2}, 1, 1.0), ({0, 3}, 3, 2.0), ({0, 1, 2}, 2, 3.0), ({0, 4}, 4, 4.0)]
         beam = beam_from_rows(ctx, rows)
-        beam.score = rng.integers(0, 3, size=beam.width) / 2.0
-        beam = beam.permuted(np.lexsort((beam.current, beam.cost, -beam.score)))
-        beam.slots = np.arange(beam.width, dtype=np.int64)
-        seen.append((beam, group_by_visited(beam)[0]))
+        beam.key = np.zeros(beam.width, dtype=np.uint64)
+        groups = row_groups(beam)
+        assert groups[0] == groups[2]
+        assert len({groups[0], groups[1], groups[3]}) == 3
 
-        assert len(seen) > 100
-        for beam, out in seen:
-            packed = pack_visited(beam.visited)
-            words = [packed[:, w] for w in range(packed.shape[1])]
-            old = np.lexsort((beam.slots, beam.current, beam.cost, -beam.score, *words))
-            assert np.array_equal(out.slots, beam.slots[old])
-            assert np.array_equal(out.visited, beam.visited[old])
 
-    def test_pack_visited_is_injective_beyond_64_nodes(self):
-        rng = np.random.default_rng(1)
-        mask = rng.random((50, 130)) < 0.5
-        packed = pack_visited(mask)
-        assert packed.shape == (50, 3)
-        as_tuples = {tuple(r) for r in packed.tolist()}
-        as_sets = {tuple(np.flatnonzero(r).tolist()) for r in mask}
-        assert len(as_tuples) == len(as_sets)
+@st.composite
+def bool_beams(draw):
+    """Visited rows drawn from a small pool of sets on n nodes, so sets repeat,
+    with keys from the set_key table or all zero (every key colliding)."""
+    n = draw(st.sampled_from([5, 64, 65, 130]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    pool = rng.random((draw(st.integers(1, 8)), n)) < rng.random()
+    visited = pool[rng.integers(0, len(pool), size=draw(st.integers(1, 40)))]
+    m = len(visited)
+    key = np.zeros(m, dtype=np.uint64) if draw(st.booleans()) else set_keys(key_context(n), visited)
+    return Beam(np.zeros(m), np.zeros(m, dtype=np.int64), np.zeros(m), visited, None, key)
+
+
+@functools.cache
+def key_context(n):
+    return make_context(generate_tsp(n, seed=0), SolverConfig(beam_size=4, policy=Policy.COST))
+
+
+@settings(max_examples=300, deadline=None)
+@given(beam=bool_beams())
+def test_grouping_partitions_rows_by_visited_set(beam):
+    order, ordinals = group_by_visited(beam)
+    assert np.array_equal(np.sort(order), np.arange(beam.width))
+    assert ordinals[0] == 0 and np.all(np.diff(ordinals) >= 0)
+    groups = np.empty_like(ordinals)
+    groups[order] = ordinals
+    same_set = (beam.visited[:, None, :] == beam.visited[None, :, :]).all(axis=2)
+    assert np.array_equal(groups[:, None] == groups[None, :], same_set)
+    assert ordinals[-1] + 1 == len({tuple(row) for row in beam.visited.tolist()})
+
+
+@pytest.mark.parametrize("collide", ["zeros", "two equal", "mod 3"])
+@pytest.mark.parametrize("generate", [generate_tsp, generate_vrp, generate_tsptw])
+@pytest.mark.parametrize("n", [12, 30])
+def test_key_collisions_leave_actions_unchanged(collide, generate, n, monkeypatch):
+    # Colliding set keys send group_by_visited to its exact fallback, which
+    # must give the solve the same actions as the real keys.
+    inst = generate(n, seed=1)
+    config = SolverConfig(beam_size=200, policy=Policy.COST_HEAT_POTENTIAL)
+    want = solve(inst, config).solution.actions
+    real = _Context.set_key.func
+
+    def patched(ctx):
+        key = real(ctx)
+        if collide == "zeros":
+            return np.zeros_like(key)
+        if collide == "two equal":
+            key = key.copy()
+            key[2] = key[1]
+            return key
+        return (np.arange(ctx.n) % 3).astype(np.uint64)
+    collided, group = [], solver.group_by_visited
+
+    def record(beam):
+        distinct = len(np.unique(beam.visited, axis=0))
+        collided.append(len(np.unique(beam.key)) < distinct)
+        return group(beam)
+    monkeypatch.setattr(_Context, "set_key", property(patched))
+    monkeypatch.setattr(solver, "group_by_visited", record)
+    assert solve(inst, config).solution.actions == want
+    assert any(collided)
 
 
 class TestExpansion:
     def test_complete_graph_expands_to_all_unvisited(self):
         inst = generate_tsp(4, seed=2)
         ctx = make_context(inst)
-        beam, groups = group_by_visited(_init_beam(ctx))
-        cand = expand_tsp(beam, groups, ctx)
+        beam = _init_beam(ctx)
+        cand = expand_tsp(beam, row_groups(beam), ctx)
         assert len(cand) == 3
         assert sorted(cand.target.tolist()) == [1, 2, 3]
         for i in range(3):
@@ -149,7 +190,8 @@ class TestExpansion:
         inst = generate_tsp(5, seed=3)
         ctx = make_context(inst)
         rows = [({0, 1, 2}, 1, 5.0), ({0, 1, 2}, 1, 7.0)]
-        beam, groups = group_by_visited(beam_from_rows(ctx, rows))
+        beam = beam_from_rows(ctx, rows)
+        groups = row_groups(beam)
         cand = prune_capacity_time(expand_tsp(beam, groups, ctx), None, groups)
         # states (visited + target) coincide pairwise: half survive
         assert len(cand) == 2
@@ -165,14 +207,14 @@ class TestExpansion:
         ctx.adj = ctx.adj.copy()  # the graph's own adjacency is read-only
         ctx.adj[1, :] = False  # node 1 has no outgoing edges
         rows = [({0, 1}, 1, 1.0)]
-        beam, groups = group_by_visited(beam_from_rows(ctx, rows))
-        assert len(expand_tsp(beam, groups, ctx)) == 0
+        beam = beam_from_rows(ctx, rows)
+        assert len(expand_tsp(beam, row_groups(beam), ctx)) == 0
 
     def test_vrp_first_step_leaves_via_the_depot(self):
         inst = generate_vrp(6, seed=0)
         ctx = make_context(inst)
-        beam, groups = group_by_visited(_init_beam(ctx))
-        cand = expand_vrp(beam, groups, ctx)
+        beam = _init_beam(ctx)
+        cand = expand_vrp(beam, row_groups(beam), ctx)
         assert sorted(cand.action.tolist()) == [inst.n + j for j in range(1, inst.n)]
 
     def test_vrp_via_depot_ties_pruned_to_pairwise_front(self):
@@ -187,8 +229,7 @@ class TestExpansion:
         assert ctx.costs[1, DEPOT] == ctx.costs[2, DEPOT]
         beam = beam_from_rows(ctx, [({1, 2}, 1, 5.0), ({1, 2}, 2, 5.0), ({1}, 1, 1.0)])
         beam.extra = np.array([6.0, 4.0, 8.0])
-        beam, groups = group_by_visited(beam)
-        cand = expand_vrp(beam, groups, ctx)
+        cand = expand_vrp(beam, row_groups(beam), ctx)
         via = cand.action >= inst.n
         via_states = cand.state_id[via]
         assert len(set(via_states.tolist())) < via_states.size
@@ -197,9 +238,9 @@ class TestExpansion:
 
         kept = prune_capacity_time(cand, cand.extra)
         want = naive_pareto(cand.state_id, cand.cost, cand.extra, cand.action,
-                            cand.parent_slot, cand.score, (~via).astype(np.int8))
-        assert (sorted(zip(kept.parent_slot.tolist(), kept.action.tolist()))
-                == sorted(zip(cand.parent_slot[want].tolist(), cand.action[want].tolist())))
+                            cand.parent_pos, cand.score, (~via).astype(np.int8))
+        assert (sorted(zip(kept.parent_pos.tolist(), kept.action.tolist()))
+                == sorted(zip(cand.parent_pos[want].tolist(), cand.action[want].tolist())))
         kept_via = kept.state_id[kept.action >= inst.n]
         assert sorted(kept_via.tolist()) == sorted(set(via_states.tolist()))
 
@@ -254,7 +295,7 @@ def test_vrp_expansion_prunes_like_every_feasible_move(case):
     # target, the via-depot moves of least cost, which dominate the others: so
     # pruning its candidates keeps what pruning every feasible move keeps.
     ctx, beam = case
-    beam, groups = group_by_visited(beam)
+    groups = row_groups(beam)
     n, d = ctx.n, ctx.instance.demands
     pairs = []
     for r, cur in enumerate(beam.current):
@@ -266,13 +307,13 @@ def test_vrp_expansion_prunes_like_every_feasible_move(case):
             if (cur == DEPOT or ctx.adj[cur, DEPOT]) and ctx.adj[DEPOT, j]:
                 pairs.append((r, n + j, ctx.instance.capacity - d[j]))
     ppos, col, extra = (np.array(v) for v in zip(*pairs)) if pairs else [np.zeros(0, int)] * 3
-    every = solver._build_candidates(ctx, beam, groups, solver._group_starts(groups),
-                                     ppos.astype(np.int64), col.astype(np.int64),
+    every = solver._build_candidates(ctx, beam, groups, ppos.astype(np.int64),
+                                     col.astype(np.int64),
                                      col.astype(np.int64) % n, extra.astype(float))
 
     def survivors(cand):
         kept = prune_capacity_time(cand, cand.extra) if len(cand) else cand
-        return sorted(zip(kept.parent_slot.tolist(), kept.action.tolist(),
+        return sorted(zip(kept.parent_pos.tolist(), kept.action.tolist(),
                           kept.cost.tolist(), kept.extra.tolist()))
 
     cand = expand_vrp(beam, groups, ctx)
@@ -281,9 +322,9 @@ def test_vrp_expansion_prunes_like_every_feasible_move(case):
     for g, a, c in zip(groups[every.parent_pos], every.action, every.cost):
         if a >= n:
             least[g, a] = min(c, least.get((g, a), np.inf))
-    want = {(s, a) for s, g, a, c in zip(every.parent_slot, groups[every.parent_pos],
+    want = {(p, a) for p, g, a, c in zip(every.parent_pos, groups[every.parent_pos],
                                          every.action, every.cost) if a >= n and c == least[g, a]}
-    assert {(s, a) for s, a in zip(cand.parent_slot, cand.action) if a >= n} == want
+    assert {(p, a) for p, a in zip(cand.parent_pos, cand.action) if a >= n} == want
 
 
 class TestExactScore:
@@ -294,8 +335,8 @@ class TestExactScore:
         # action prefix.
         selected, tables = [], []
         next_beam, build_tables = solver._next_beam, solver.build_policy_tables
-        monkeypatch.setattr(solver, "_next_beam",
-                            lambda beam, cand: selected.append(cand) or next_beam(beam, cand))
+        monkeypatch.setattr(solver, "_next_beam", lambda beam, cand, ctx:
+                            selected.append(cand) or next_beam(beam, cand, ctx))
         monkeypatch.setattr(solver, "build_policy_tables",
                             lambda *a, **k: tables.append(build_tables(*a, **k)) or tables[-1])
         rows, differ, cost_differ = 0, [], []
@@ -308,8 +349,8 @@ class TestExactScore:
                 assert solve(inst, config).found
                 prefixes = [()]
                 for cand in selected:
-                    prefixes = [prefixes[s] + (int(a),)
-                                for s, a in zip(cand.parent_slot, cand.action)]
+                    prefixes = [prefixes[p] + (int(a),)
+                                for p, a in zip(cand.parent_pos, cand.action)]
                     for prefix, score, cost in zip(prefixes, cand.score, cand.cost):
                         rows += 1
                         sim = replay(inst, prefix, tables=tables[0])
@@ -437,9 +478,8 @@ class TestNeighbourScan:
                            SolverConfig(beam_size=4, policy=Policy.COST, threshold=0.0))
         ctx.adj = adj
         m = len(current)
-        beam, groups = group_by_visited(Beam(np.zeros(m), current, np.zeros(m), visited,
-                                             None, np.arange(m, dtype=np.int32)))
-        cand = expand_tsp(beam, groups, ctx)
+        beam = Beam(np.zeros(m), current, np.zeros(m), visited, None, set_keys(ctx, visited))
+        cand = expand_tsp(beam, row_groups(beam), ctx)
         rows, targets = np.nonzero(adj[beam.current] & ~beam.visited)
         assert np.array_equal(cand.parent_pos, rows)
         assert np.array_equal(cand.target, targets)
@@ -450,7 +490,7 @@ class TestNeighbourScan:
 @st.composite
 def selection_rows(draw):
     """Candidates with heavy score and cost ties, and a beam size below, at
-    or above their count; (parent slot, action) names each row."""
+    or above their count; (parent row, action) names each row."""
     pairs = draw(st.lists(st.tuples(st.integers(0, 7), st.integers(0, 9)),
                           max_size=40, unique=True))
     m = len(pairs)
@@ -467,7 +507,7 @@ class TestSelection:
         m = len(scores)
         z = np.zeros(m)
         ids = np.arange(m, dtype=np.int64)
-        return Candidates(ids, ids.copy(), ids.copy(), ids.copy(), ids.copy(),
+        return Candidates(ids, ids.copy(), ids.copy(), ids.copy(),
                           np.array(costs if costs is not None else z, dtype=float),
                           np.array(scores, dtype=float))
 
@@ -495,17 +535,20 @@ class TestSelection:
     def test_matches_five_key_lexsort(self, rows):
         score, cost, slot, action, beam_size = rows
         target = action % 4
-        cand = Candidates(np.arange(len(score)), slot, target, action, target.copy(),
-                          cost, score)
+        cand = Candidates(slot, target, action, target.copy(), cost, score)
         want = lexsort_top_b(score, cost, target, slot, action, beam_size)
-        assert np.array_equal(select_top_b(cand, beam_size).parent_pos, want)
+        out = select_top_b(cand, beam_size)
+        assert np.array_equal(out.parent_pos, slot[want])
+        assert np.array_equal(out.action, action[want])
 
 
 @st.composite
 def pruning_candidates(draw):
     """Engine-shaped candidates: parents in visited-set groups, few DP states
     with many rows each, scores and costs on tiny grids so exact ties abound.
-    (parent, action) names each row; rows come in (parent, action) order."""
+    (parent row, action) names each row; rows come in (group, action) order,
+    and the parent rows of a group need not be adjacent.  Returns each row's
+    group too."""
     n, via = 3, draw(st.booleans())
     sizes = draw(st.lists(st.integers(1, 4), min_size=1, max_size=3))
     groups = np.repeat(np.arange(len(sizes)), sizes)
@@ -516,10 +559,12 @@ def pruning_candidates(draw):
     grid = lambda *v: np.array(draw(st.lists(st.sampled_from(v), min_size=m, max_size=m)))
     ppos = np.array([p for p, _ in pairs], dtype=np.int64)
     action = np.array([a for _, a in pairs], dtype=np.int64)
-    slots = np.array(draw(st.permutations(range(groups.size))), dtype=np.int64)
-    cand = Candidates(ppos, slots[ppos], action % n, action, groups[ppos] * n + action % n,
+    rows = np.array(draw(st.permutations(range(groups.size))), dtype=np.int64)
+    cand = Candidates(rows[ppos], action % n, action, groups[ppos] * n + action % n,
                       grid(0.0, 0.5, 1.0), grid(-1.0, 0.0, 0.25, 1.0), grid(0.0, 1.0, 2.0))
-    return cand, groups
+    row_group = np.empty_like(groups)
+    row_group[rows] = groups
+    return cand, row_group
 
 
 def assert_same_candidates(got, want):
@@ -562,7 +607,7 @@ class TestScoreCut:
         cost = np.concatenate(([5.0, 5.0, 1.0], np.full(filler, 5.0), np.ones(singletons)))
         extra = np.concatenate(([0.0, 0.0, 1.0], np.zeros(filler + singletons)))
         ids = np.arange(state.size, dtype=np.int64)
-        return Candidates(ids, ids.copy(), state.copy(), ids.copy(), state, cost, score, extra)
+        return Candidates(ids, state.copy(), ids.copy(), state, cost, score, extra)
 
     @pytest.mark.parametrize("singletons, filler, kernel_sizes", [
         (20, 0, [3, 9]),    # k = 2 marks state 0 alone; k = 8 adds six states

@@ -26,9 +26,9 @@ def tsptw_context(coords, time_windows, adj=None):
     return _Context(inst, costs, adj, tables, SolverConfig(beam_size=8, policy=Policy.COST))
 
 
-def tsptw_beam(n, rows):
+def tsptw_beam(ctx, rows):
     """Beam of (visited customers, current node, time) rows, depot visited."""
-    m = len(rows)
+    n, m = ctx.n, len(rows)
     visited = np.zeros((m, n), dtype=bool)
     visited[:, 0] = True
     for r, (customers, _, _) in enumerate(rows):
@@ -36,11 +36,13 @@ def tsptw_beam(n, rows):
     current = np.array([cur for _, cur, _ in rows], dtype=np.int64)
     time = np.array([t for _, _, t in rows], dtype=float)
     zeros = np.zeros(m)
-    return Beam(zeros, current, zeros, visited, time, np.arange(m, dtype=np.int64))
+    return Beam(zeros, current, zeros, visited, time, (ctx.set_key * visited).sum(axis=1))
 
 
 def expand_and_oracle(ctx, beam):
-    beam, groups = group_by_visited(beam)
+    order, ordinals = group_by_visited(beam)
+    groups = np.empty_like(ordinals)
+    groups[order] = ordinals
     cand = expand_tsptw(beam, groups, ctx)
     got = list(zip(cand.parent_pos.tolist(), cand.target.tolist(), cand.extra.tolist()))
     want = naive_tsptw_kept(beam.visited, beam.current, beam.extra, ctx.adj, ctx.costs,
@@ -58,7 +60,7 @@ class TestLookahead:
     def test_earliest_deadline_target_needs_the_next_deadline(self, u_b, a_kept):
         tw = [[0.0, math.inf], [0.0, 12.0], [0.0, u_b], [0.0, 1000.0]]
         ctx = tsptw_context(self.COORDS, tw)
-        got, want = expand_and_oracle(ctx, tsptw_beam(4, [((), 0, 0.0)]))
+        got, want = expand_and_oracle(ctx, tsptw_beam(ctx, [((), 0, 0.0)]))
         assert got == want
         assert (1 in [t for _, t, _ in got]) == a_kept
 
@@ -67,7 +69,7 @@ class TestLookahead:
         tw = [[0.0, math.inf]] + [[0.0, 6.0]] * 4
         ctx = tsptw_context(coords, tw)
         rows = [((1,), 1, 1.0), ((2,), 2, 2.0), ((1,), 1, 1.5), ((4,), 4, 4.0)]
-        got, want = expand_and_oracle(ctx, tsptw_beam(5, rows))
+        got, want = expand_and_oracle(ctx, tsptw_beam(ctx, rows))
         assert got == want
         assert got   # the lookahead keeps some moves and drops others
         assert len(got) < 3 * len(rows)
@@ -75,10 +77,10 @@ class TestLookahead:
     def test_last_two_steps(self):
         tw = [[0.0, math.inf], [0.0, 12.0], [0.0, 40.0], [0.0, 1000.0]]
         ctx = tsptw_context(self.COORDS, tw)
-        one_left = tsptw_beam(4, [((1, 2), 2, 30.0), ((1, 2), 1, 10.0), ((1, 3), 3, 25.0)])
+        one_left = tsptw_beam(ctx, [((1, 2), 2, 30.0), ((1, 2), 1, 10.0), ((1, 3), 3, 25.0)])
         got, want = expand_and_oracle(ctx, one_left)
         assert got == want and len(got) == 3
-        none_left = tsptw_beam(4, [((1, 2, 3), 3, 50.0)])
+        none_left = tsptw_beam(ctx, [((1, 2, 3), 3, 50.0)])
         got, want = expand_and_oracle(ctx, none_left)
         assert got == want == []
 
@@ -87,7 +89,7 @@ class TestLookahead:
         coords = [[0.0, 0.0], [3.0, 4.0], [3.0, 4.0], [3.0, 4.0]]
         tw = [[0.0, math.inf], [0.0, 5.0], [0.0, math.inf], [0.0, 5.0]]
         ctx = tsptw_context(coords, tw)
-        got, want = expand_and_oracle(ctx, tsptw_beam(4, [((), 0, 0.0), ((), 0, 0.5)]))
+        got, want = expand_and_oracle(ctx, tsptw_beam(ctx, [((), 0, 0.0), ((), 0, 0.5)]))
         assert got == want == [(0, 1, 5.0), (0, 2, 5.0), (0, 3, 5.0)]
 
 
@@ -119,7 +121,8 @@ def tsptw_beams(draw):
         customers = draw(st.sampled_from(sets))
         current = draw(st.sampled_from(customers)) if customers else 0
         rows.append((customers, current, float(draw(st.integers(0, 60)))))
-    return tsptw_context(coords, np.column_stack([lo, hi]), adj), tsptw_beam(n, rows)
+    ctx = tsptw_context(coords, np.column_stack([lo, hi]), adj)
+    return ctx, tsptw_beam(ctx, rows)
 
 
 @settings(max_examples=400, deadline=None)
