@@ -274,10 +274,10 @@ def cmd_bench(args) -> int:
                  f"{'on' if config.dominance_enabled else 'off'}")
         rows = _run_solves(paths, args.problem, args.heatmap_dir, config, None, args.jobs)
         all_rows.extend((label, r) for r in rows)
-        costs = [r.cost for r in rows if r.cost is not None]
-        mean_cost = sum(costs) / len(costs) if costs else math.nan
+        mean_cost = RunReport(rows).mean_cost
         mean_time = sum(r.solve_time for r in rows) / len(rows)
-        summary.append([label, repr(mean_cost), f"{mean_time:.6f}"])
+        summary.append([label, repr(math.nan if mean_cost is None else mean_cost),
+                        f"{mean_time:.6f}"])
     _write_csv(out / "bench_rows.csv", [["config"] + REPORT_COLUMNS]
                + [[label] + row.fields() for label, row in all_rows])
     _write_csv(out / "bench_summary.csv", summary)

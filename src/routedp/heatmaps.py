@@ -117,13 +117,11 @@ def sparsify_knn(costs: np.ndarray, k: int, vrp: bool = False) -> SparseGraph:
     n = costs.shape[0]
     if not 1 <= k <= n - 1:
         raise ValueError("k must lie in [1, n - 1]")
+    order = np.argsort(costs, axis=1, kind="stable")   # ties in index order
+    nearest = order[order != np.arange(n)[:, None]].reshape(n, n - 1)[:, :k]
     adj = np.zeros((n, n), dtype=bool)
-    idx = np.arange(n)
-    for i in range(n):
-        order = np.lexsort((idx, costs[i]))
-        nearest = [j for j in order if j != i][:k]
-        adj[i, nearest] = True
-        adj[nearest, i] = True
+    np.put_along_axis(adj, nearest, True, axis=1)
+    adj |= adj.T
     if vrp:
         _force_depot_edges(adj)
     return SparseGraph.from_adjacency(adj)
@@ -133,7 +131,10 @@ def read_heatmap(path: str | Path, n: int) -> Heatmap:
     """Load a heatmap file (dense or sparse format, see write_heatmap); content
     after a dense file's rows and a repeated sparse entry are errors."""
     path = Path(path)
-    lines = path.read_text(encoding="utf-8").splitlines()
+    try:
+        lines = path.read_text(encoding="utf-8").splitlines()
+    except UnicodeDecodeError as exc:
+        raise HeatmapFormatError(f"{path}: not UTF-8 text (byte {exc.start})") from None
     if not lines:
         raise HeatmapFormatError(f"{path}: empty file")
     header = lines[0].split()

@@ -202,12 +202,15 @@ def write_instance(instance: Instance, path: str | Path) -> None:
 
 
 def _require_numbers(path: Path, key: str, value) -> None:
-    """Raise unless value is a JSON number or nested lists of them."""
-    if isinstance(value, list):
-        for v in value:
-            _require_numbers(path, key, v)
-    elif isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise InstanceFormatError(f"{path}: '{key}' holds {value!r}, which is not a number")
+    """Raise unless value is a JSON number or nested lists of them, naming
+    the first value that is not (without recursion, so any depth is fine)."""
+    stack = [value]
+    while stack:
+        value = stack.pop()
+        if isinstance(value, list):
+            stack.extend(reversed(value))
+        elif isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise InstanceFormatError(f"{path}: '{key}' holds {value!r}, which is not a number")
 
 
 def read_instance(path: str | Path) -> Instance:
@@ -216,6 +219,10 @@ def read_instance(path: str | Path) -> Instance:
         obj = json.loads(path.read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise InstanceFormatError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
+    except UnicodeDecodeError as exc:
+        raise InstanceFormatError(f"{path}: not UTF-8 text (byte {exc.start})") from None
+    except RecursionError:
+        raise InstanceFormatError(f"{path}: JSON nested too deeply") from None
     if not isinstance(obj, dict):
         raise InstanceFormatError(f"{path}: expected a JSON object")
 
@@ -253,5 +260,5 @@ def read_instance(path: str | Path) -> Instance:
                         demands=None if demands is None else np.asarray(demands, dtype=float),
                         capacity=capacity,
                         time_windows=None if tw is None else np.asarray(tw, dtype=float))
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:   # an integer past float range
         raise InstanceFormatError(f"{path}: {exc}") from exc

@@ -14,9 +14,9 @@ which the winning solution is backtracked and independently re-simulated.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass, replace
 from functools import cached_property
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -39,15 +39,11 @@ class SolverConfig:
     def __post_init__(self) -> None:
         if not isinstance(self.policy, Policy):
             raise TypeError(f"policy must be a Policy, got {self.policy!r}")
-        for name in ("beam_size", "knn"):
+        for name, kind, what in (("beam_size", Integral, "an integer"),
+                                 ("knn", Integral, "an integer"), ("threshold", Real, "a number")):
             value = getattr(self, name)
-            try:
-                if isinstance(value, bool):   # operator.index(True) is 1
-                    raise TypeError
-                if value is not None:
-                    operator.index(value)
-            except TypeError:
-                raise TypeError(f"{name} must be an integer, got {value!r}") from None
+            if isinstance(value, bool) or not isinstance(value, (kind, type(None))):
+                raise TypeError(f"{name} must be {what}, got {value!r}")
         for name in ("dominance_enabled", "invert_cost_heat"):
             if not isinstance(getattr(self, name), (bool, np.bool_)):
                 raise TypeError(f"{name} must be a bool, got {getattr(self, name)!r}")
@@ -303,46 +299,6 @@ def expand_tsptw(beam: Beam, groups: np.ndarray, ctx: _Context) -> Candidates:
     return _build_candidates(ctx, beam, groups, ppos, tgt, tgt, extra=arrive.ravel()[flat])
 
 
-def _prune_contested(cand: Candidates, groups: np.ndarray | None, kernel,
-                     beam_size: int | None = None) -> Candidates:
-    """Survivors of kernel, a keep-mask function of candidate indices.
-
-    Two candidates share a DP state only if their parents share a visited
-    set, so when groups are given, candidates from singleton groups survive
-    without reaching the kernel.  Given beam_size B, only the states holding
-    one of the k best scores (k = 2B, 8B, ...) are pruned; once B of their
-    survivors reach the k-th score they are returned: dominance is decided
-    per state, so they are exact and hold the top B overall.  Every state is
-    pruned once 2k reaches the candidate count or the marked rows pass half.
-    """
-    k = 2 * beam_size if beam_size else len(cand)
-    while 2 * k < len(cand):
-        bound = np.partition(cand.score, -k)[-k]
-        hot = np.zeros(cand.state_id.max() + 1, dtype=bool)
-        hot[cand.state_id[cand.score >= bound]] = True
-        rows = np.flatnonzero(hot[cand.state_id])
-        if 2 * rows.size > len(cand):
-            break
-        out = _prune_contested(cand.take(rows), groups, lambda i: kernel(rows[i]))
-        if np.count_nonzero(out.score >= bound) >= beam_size:
-            return out
-        k *= 4
-    if groups is None:
-        return cand.take(np.flatnonzero(kernel(slice(None))))
-    idx = np.flatnonzero(np.bincount(groups)[groups[cand.parent_pos]] > 1)
-    if idx.size == 0:
-        return cand
-    keep = np.ones(len(cand), dtype=bool)
-    keep[idx] = kernel(idx)
-    return cand.take(np.flatnonzero(keep))
-
-
-def _tie_keys(cand: Candidates, i) -> tuple[np.ndarray, ...]:
-    # Minor to major, so ties go to the higher action, score, then lower parent row.
-    # In one DP state the action is the target, or n + target for a VRP via move.
-    return (cand.parent_pos[i], -cand.score[i], -cand.action[i])
-
-
 def prune_capacity_time(cand: Candidates, objective: np.ndarray | None,
                         groups: np.ndarray | None = None,
                         beam_size: int | None = None) -> Candidates:
@@ -352,11 +308,41 @@ def prune_capacity_time(cand: Candidates, objective: np.ndarray | None,
     for TSPTW negated time, each with the parent groups.  For VRP pass the
     remaining capacity and no groups: direct and via-depot moves from one
     parent share states.  Exact ties go to via-depot moves first, then the
-    higher score, then the lower parent row.  beam_size: see _prune_contested.
+    higher score, then the lower parent row.
+
+    Two candidates share a DP state only if their parents share a visited
+    set, so given the groups, rows from singleton groups survive without
+    reaching the kernel.  Given beam_size B, only the rows of the states
+    holding one of the k best scores (k = 2B, 8B, ...) are pruned; once B of
+    their survivors reach the k-th score they are returned: dominance is
+    decided per state, so they are exact and hold the top B overall.  Every
+    row is pruned once 2k reaches the candidate count or the marked rows
+    pass half.
     """
-    return _prune_contested(cand, groups, lambda i: prune_pareto_front(
-        cand.state_id[i], cand.cost[i], None if objective is None else objective[i],
-        tie_keys=_tie_keys(cand, i)), beam_size)
+    shared = None if groups is None else (np.bincount(groups) > 1)[groups]   # per parent
+    k = 2 * beam_size if beam_size else len(cand)
+    while True:
+        rows = slice(None)   # the rows this try prunes: every row, or the marked ones
+        if 2 * k < len(cand):
+            bound = np.partition(cand.score, -k)[-k]
+            hot = np.zeros(cand.state_id.max() + 1, dtype=bool)
+            hot[cand.state_id[cand.score >= bound]] = True
+            rows = np.flatnonzero(hot[cand.state_id])
+            if 2 * rows.size > len(cand):
+                rows = slice(None)
+        every = isinstance(rows, slice)
+        keep = np.ones(len(cand) if every else rows.size, dtype=bool)   # per entry of rows
+        # j: the entries of rows that reach the kernel; i: their candidate rows.
+        j = slice(None) if shared is None else np.flatnonzero(shared[cand.parent_pos[rows]])
+        i = j if every else rows[j]
+        if shared is None or j.size:   # tie keys minor to major; a via move's action is higher
+            keep[j] = prune_pareto_front(
+                cand.state_id[i], cand.cost[i], None if objective is None else objective[i],
+                tie_keys=(cand.parent_pos[i], -cand.score[i], -cand.action[i]))
+        kept = np.flatnonzero(keep) if every else rows[keep]
+        if every or np.count_nonzero(cand.score[kept] >= bound) >= beam_size:
+            return cand if kept.size == len(cand) else cand.take(kept)
+        k *= 4
 
 
 def select_top_b(cand: Candidates, beam_size: int) -> Candidates:

@@ -226,6 +226,28 @@ class TestSolveCommand:
         assert "bad.json" in rows["bad"]["error"]
         assert rows["tsp8_0000"]["error"] == "" and float(rows["tsp8_0000"]["cost"]) > 0
 
+    @pytest.mark.parametrize("bad, heat, match", [
+        (b"\xff\xfe", None, "bad.json: not UTF-8 text"),
+        (b'{"problem": "tsp", "x": ' + b"[" * 100_000 + b"]" * 100_000 + b"}", None,
+         "bad.json: JSON nested too deeply"),
+        (None, b"dense 8\n\xff\n", "tsp8_0000.heat: not UTF-8 text"),
+    ], ids=["instance-not-utf8", "instance-nested-too-deeply", "heatmap-not-utf8"])
+    def test_unreadable_file_is_an_error_row_naming_it(self, tmp_path, bad, heat, match):
+        d = write_tsp_dir(tmp_path, count=1)
+        args = []
+        if bad is not None:
+            (d / "bad.json").write_bytes(bad)
+        if heat is not None:
+            hm = tmp_path / "heatmaps"
+            hm.mkdir()
+            (hm / "tsp8_0000.heat").write_bytes(heat)
+            args = ["--heatmap-dir", str(hm)]
+        out = tmp_path / "out"
+        rc = main(["solve", "--instances", str(d), "--beam-size", "8", "--out", str(out), *args])
+        assert rc == 1
+        errors = [r["error"] for r in read_report(out) if r["error"]]
+        assert len(errors) == 1 and match in errors[0]
+
     @pytest.mark.parametrize("command", ["solve", "bench"])
     def test_problem_mismatch_is_an_error_row(self, tmp_path, command):
         d = write_tsp_dir(tmp_path, count=1)

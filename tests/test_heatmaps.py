@@ -159,6 +159,23 @@ class TestKnnSparsification:
             assert (0, i) in g.edge_set()
             assert (i, 0) in g.edge_set()
 
+    @pytest.mark.parametrize("layout", ["random", "collinear", "coincident"])
+    def test_matches_per_node_sort(self, layout):
+        """Each node's k cheapest other nodes, ties to the lower index."""
+        rng = np.random.default_rng(10)
+        for n in range(2, 12):
+            coords = {"random": rng.random((n, 2)),
+                      "collinear": np.column_stack([rng.integers(0, 4, n), np.zeros(n)]),
+                      "coincident": rng.integers(0, 2, (n, 2))}[layout].astype(float)
+            costs = euclidean_cost_matrix(coords)
+            for k in range(1, n):
+                want = np.zeros((n, n), dtype=bool)
+                for i in range(n):
+                    nearest = sorted((j for j in range(n) if j != i),
+                                     key=lambda j: (costs[i, j], j))[:k]
+                    want[i, nearest] = want[nearest, i] = True
+                assert np.array_equal(sparsify_knn(costs, k).adj, want)
+
     def test_invalid_k_rejected(self):
         costs = euclidean_cost_matrix(np.random.default_rng(8).random((5, 2)))
         for k in (0, 5):
@@ -250,6 +267,13 @@ class TestHeatmapIO:
         h = read_heatmap(path, 3)
         assert h.values[0, 1] == h.values[1, 0] == 0.5
         assert np.count_nonzero(h.values) == 2
+
+    def test_non_utf8_file_is_reported_with_its_path(self, tmp_path):
+        path = tmp_path / "h.heat"
+        path.write_bytes(b"dense 2\n0 0.5\n0.5 0 \xff\n")
+        with pytest.raises(HeatmapFormatError, match="not UTF-8 text") as err:
+            read_heatmap(path, 2)
+        assert str(path) in str(err.value)
 
     def test_dimension_mismatch_rejected(self, tmp_path):
         path = tmp_path / "h.heat"

@@ -201,6 +201,19 @@ class TestInstanceIO:
             read_instance(path)
 
     @pytest.mark.parametrize("body,match", [
+        (b'\xff\xfe{"problem": "tsp"}', "not UTF-8 text"),
+        (b'{"problem": "tsp", "coords": [[0, 0], [1, 1]], "x": ' + b"[" * 100_000
+         + b"]" * 100_000 + b"}", "nested too deeply"),
+        (b'{"problem": "tsp", "coords": ' + b"[" * 990 + b"]" * 990 + b"}", "bad.json"),
+    ], ids=["not-utf8", "nested-too-deeply", "deep-coords"])
+    def test_unreadable_file_is_reported_with_its_path(self, tmp_path, body, match):
+        path = tmp_path / "bad.json"
+        path.write_bytes(body)
+        with pytest.raises(InstanceFormatError, match=match) as err:
+            read_instance(path)
+        assert str(path) in str(err.value)
+
+    @pytest.mark.parametrize("body,match", [
         ('{"problem": "vrp", "coords": [[0,0],[1,1]], "demands": [0,1], "capacity": "5"}',
          "capacity"),
         ('{"problem": "tsptw", "coords": [[0,0],[1,1]], "time_windows": [1, 2]}',
@@ -208,6 +221,9 @@ class TestInstanceIO:
         ('{"problem": "tsptw", "coords": [[0,0],[1,1]], "time_windows": [[0], [0, 1]]}',
          "time_windows"),
         ('{"problem": "tsp", "coords": {"x": 1}}', "bad.json"),
+        ('{"problem": "tsp", "coords": [[0, 0], [1' + "0" * 400 + ', 1]]}', "too large"),
+        ('{"problem": "vrp", "coords": [[0, 0], [1, 1]], "demands": [0, 1],'
+         ' "capacity": 1' + "0" * 400 + '}', "too large"),
     ])
     def test_wrongly_typed_field_is_reported(self, tmp_path, body, match):
         path = tmp_path / "bad.json"

@@ -648,6 +648,51 @@ class TestScoreCut:
                 assert got.solution.cost == want.solution.cost
 
 
+class TestSingletonGroupSkip:
+    """Two candidates share a DP state only if their parents share a visited
+    set, so given the parent groups, no row of a parent alone in its group
+    may reach the kernel; without them (VRP), every row of the pruned
+    states must, as direct and via-depot moves of one parent share states."""
+
+    @staticmethod
+    def kernel_rows(cand, objective, groups, beam_size):
+        """The (parent row, action) pairs that reach the kernel."""
+        kernel, seen = solver.prune_pareto_front, set()
+
+        def spy(state, cost, objective=None, tie_keys=()):
+            seen.update(zip(tie_keys[0].tolist(), (-tie_keys[2]).tolist()))
+            return kernel(state, cost, objective, tie_keys=tie_keys)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(solver, "prune_pareto_front", spy)
+            prune_capacity_time(cand, objective, groups, beam_size)
+        return seen
+
+    @settings(max_examples=200, deadline=None)
+    @given(pruning_candidates(), st.sampled_from([None, 1, 2, 3]))
+    def test_kernel_sees_no_singleton_row_with_groups_and_every_hot_row_without(
+            self, case, beam_size):
+        cand, groups = case
+        rows = set(zip(cand.parent_pos.tolist(), cand.action.tolist()))
+        shared = {(p, a) for p, a in rows if np.count_nonzero(groups == groups[p]) > 1}
+        hot = rows
+        k = 2 * beam_size if beam_size else len(cand)
+        if 2 * k < len(cand):   # the rows of the states holding one of the k best scores
+            top = np.isin(cand.state_id, cand.state_id[cand.score >= np.sort(cand.score)[-k]])
+            hot = set(zip(cand.parent_pos[top].tolist(), cand.action[top].tolist()))
+        for objective in (None, -cand.extra):
+            seen = self.kernel_rows(cand, objective, groups, beam_size)
+            assert seen <= shared
+            assert hot & shared <= seen
+            if beam_size is None:
+                assert seen == shared
+        for objective in (None, cand.extra):
+            seen = self.kernel_rows(cand, objective, None, beam_size)
+            assert hot <= seen
+            if beam_size is None:
+                assert seen == rows
+
+
 class TestSolveTSP:
     def test_triangle_perimeter_any_beam(self):
         inst = Instance(ProblemKind.TSP,
@@ -959,6 +1004,11 @@ class TestConfig:
         ({"invert_cost_heat": None}, "invert_cost_heat must be a bool"),
         ({"beam_size": True}, "beam_size must be an integer"),
         ({"knn": True}, "knn must be an integer"),
+        ({"threshold": False}, "threshold must be a number"),
+        ({"threshold": True}, "threshold must be a number"),
+        ({"threshold": "0.1"}, "threshold must be a number"),
+        ({"threshold": np.bool_(False)}, "threshold must be a number"),
+        ({"threshold": [0.1]}, "threshold must be a number"),
     ])
     def test_wrong_types_rejected(self, kwargs, match):
         with pytest.raises(TypeError, match=match):
@@ -967,6 +1017,10 @@ class TestConfig:
     def test_numpy_integers_accepted(self):
         cfg = SolverConfig(beam_size=np.int64(10), knn=np.int32(3))
         assert (cfg.beam_size, cfg.knn) == (10, 3)
+
+    @pytest.mark.parametrize("threshold", [0, 0.5, np.float32(0.25), np.float64(0.0)])
+    def test_real_thresholds_accepted(self, threshold):
+        assert SolverConfig(beam_size=4, threshold=threshold).threshold == threshold
 
     def test_numpy_bools_accepted(self):
         cfg = SolverConfig(beam_size=4, dominance_enabled=np.bool_(False),
