@@ -40,14 +40,15 @@ class ReportRow:
     beam_size: int
     policy: str
     sparsification: str
-    solve_time: float
+    solve_time: float | None   # None if no solve returned
     heatmap_time: float
     error: str | None = None
 
     def fields(self) -> list[str]:
         cost = "" if self.cost is None else repr(self.cost)
+        solve_time = "" if self.solve_time is None else f"{self.solve_time:.6f}"
         return [self.instance, cost, str(int(self.feasible)), str(self.beam_size),
-                self.policy, self.sparsification, f"{self.solve_time:.6f}",
+                self.policy, self.sparsification, solve_time,
                 f"{self.heatmap_time:.6f}", self.error or ""]
 
 
@@ -81,7 +82,7 @@ class RunReport:
 
     @property
     def total_time(self) -> float:
-        return sum(r.solve_time + r.heatmap_time for r in self.rows)
+        return sum((r.solve_time or 0.0) + r.heatmap_time for r in self.rows)
 
     def write(self, path: Path, as_json: bool) -> None:
         if as_json:
@@ -157,7 +158,7 @@ def _solve_one(args: tuple) -> ReportRow:
         solve_time = time.perf_counter() - t0
     except (OSError, ValueError, RuntimeError) as exc:
         return ReportRow(instance_id, None, False, config.beam_size,
-                         config.policy.value, label, 0.0, hm_time, error=str(exc))
+                         config.policy.value, label, None, hm_time, error=str(exc))
     if not result.found:
         return ReportRow(instance_id, None, False, config.beam_size,
                          config.policy.value, label, solve_time, hm_time,
@@ -275,7 +276,8 @@ def cmd_bench(args) -> int:
         rows = _run_solves(paths, args.problem, args.heatmap_dir, config, None, args.jobs)
         all_rows.extend((label, r) for r in rows)
         mean_cost = RunReport(rows).mean_cost
-        mean_time = sum(r.solve_time for r in rows) / len(rows)
+        times = [r.solve_time for r in rows if r.solve_time is not None]
+        mean_time = sum(times) / len(times) if times else math.nan
         summary.append([label, repr(math.nan if mean_cost is None else mean_cost),
                         f"{mean_time:.6f}"])
     _write_csv(out / "bench_rows.csv", [["config"] + REPORT_COLUMNS]

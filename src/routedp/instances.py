@@ -58,6 +58,10 @@ class Instance:
             raise ValueError("coords must have shape (n, 2) with n >= 2")
         if not np.all(np.isfinite(coords)):
             raise ValueError("coords must be finite")
+        with np.errstate(over="ignore"):   # no distance exceeds the bounding box diagonal
+            span = np.ptp(coords, axis=0)
+            if not (np.isfinite(span @ span) or np.isfinite(euclidean_cost_matrix(coords)).all()):
+                raise ValueError("coords lie too far apart: a pairwise distance overflows")
         object.__setattr__(self, "coords", _readonly(coords))
         n = coords.shape[0]
 

@@ -239,7 +239,9 @@ def expand_tsp(beam: Beam, groups: np.ndarray, ctx: _Context) -> Candidates:
 
 
 def expand_vrp(beam: Beam, groups: np.ndarray, ctx: _Context) -> Candidates:
-    """Direct moves to customer j in column j, moves via the depot in n + j."""
+    """Every feasible move: direct to customer j in column j, via the depot in
+    n + j from each row that can return to it.  Dominance is left to the
+    prune layer."""
     n = ctx.n
     unvisited = ~beam.visited
     unvisited[:, DEPOT] = False
@@ -249,27 +251,8 @@ def expand_vrp(beam: Beam, groups: np.ndarray, ctx: _Context) -> Candidates:
     away = (beam.current != DEPOT)[:, None]
     fits = ctx.instance.demands[None, :] <= beam.extra[:, None]
     feas[:, :n] = ctx.adj[beam.current] & unvisited & fits & away
-
-    # Via-depot moves to j from one visited-set group share the state's
-    # remaining capacity, so only the parents with the least cost of that move,
-    # fl(cost + (c(i, 0) + c(0, j))), can yield a non-dominated one.  That cost
-    # and ret = fl(cost + c(i, 0)) lie within a factor (1 +- eps/2)^2 of their
-    # exact sums, so such a parent's ret lies within 4 eps * (least ret + max_j
-    # c(0, j)) of its group's least.  A group's only parent that near has the
-    # least cost to every j; where there are more, they are compared per target.
-    # This filter applies whatever dominance_enabled is set to.
     has_ret = (beam.current == DEPOT) | ctx.adj[beam.current, DEPOT]
-    ret = np.where(has_ret, beam.cost + ctx.costs[beam.current, DEPOT], np.inf)
-    low = np.full(groups.max() + 1, np.inf)
-    np.minimum.at(low, groups, ret)
-    low = low[groups]
-    near = has_ret & (ret <= low + 4 * np.finfo(float).eps * (low + ctx.costs[DEPOT].max()))
-    feas[near, n:] = ctx.adj[DEPOT] & unvisited[near]
-    rows = np.flatnonzero(near & (np.bincount(groups, weights=near)[groups] > 1))
-    via = beam.cost[rows, None] + ctx.step_cost[beam.current[rows], n:]
-    least = np.full((groups.max() + 1, n), np.inf)
-    np.minimum.at(least, groups[rows], via)
-    feas[rows, n:] &= via == least[groups[rows]]
+    feas[has_ret, n:] = ctx.adj[DEPOT] & unvisited[has_ret]
     ppos, col = np.divmod(np.flatnonzero(feas), 2 * n)
     tgt = col % n
     remcap = np.where(col >= n, float(ctx.instance.capacity), beam.extra[ppos])

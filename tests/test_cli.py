@@ -231,7 +231,10 @@ class TestSolveCommand:
         (b'{"problem": "tsp", "x": ' + b"[" * 100_000 + b"]" * 100_000 + b"}", None,
          "bad.json: JSON nested too deeply"),
         (None, b"dense 8\n\xff\n", "tsp8_0000.heat: not UTF-8 text"),
-    ], ids=["instance-not-utf8", "instance-nested-too-deeply", "heatmap-not-utf8"])
+        (b'{"problem": "tsp", "coords": [[0, 0], [1e308, 1e308], [-1e308, 0]]}', None,
+         "bad.json: coords lie too far apart: a pairwise distance overflows"),
+    ], ids=["instance-not-utf8", "instance-nested-too-deeply", "heatmap-not-utf8",
+            "instance-distance-overflows"])
     def test_unreadable_file_is_an_error_row_naming_it(self, tmp_path, bad, heat, match):
         d = write_tsp_dir(tmp_path, count=1)
         args = []
@@ -391,6 +394,22 @@ class TestBenchCommand:
         assert len(summary) == 1 + 4  # 2 beam sizes x 2 policies
         rows = (out / "bench_rows.csv").read_text().strip().splitlines()
         assert len(rows) == 1 + 4 * 2  # per config per instance
+
+    @pytest.mark.parametrize("count", [1, 0])
+    def test_mean_time_leaves_out_rows_without_a_solve(self, tmp_path, count):
+        # An unreadable file's row has no solve time; with no solve at all the
+        # mean is nan, like the mean cost.
+        d = write_tsp_dir(tmp_path, count=count)
+        (d / "bad.json").write_bytes(b"\xff\xfe")
+        out = tmp_path / "bench"
+        rc = main(["bench", "--problem", "tsp", "--instances", str(d),
+                   "--beam-sizes", "8", "--out", str(out)])
+        assert rc == 1
+        rows = {r["instance"]: r for r in read_report(out, "bench_rows.csv")}
+        assert rows["bad"]["solve_time"] == ""
+        [summary] = read_report(out, "bench_summary.csv")
+        assert summary["mean_time"] == (rows["tsp8_0000"]["solve_time"] if count else "nan")
+        assert summary["mean_cost"] == (rows["tsp8_0000"]["cost"] if count else "nan")
 
     @pytest.mark.parametrize("flag, msg", [
         (["--knns", "0"], "knn must be >= 1"),

@@ -122,6 +122,18 @@ class TestValidation:
         with pytest.raises(ValueError, match="coords must be finite"):
             Instance(ProblemKind.TSP, coords)
 
+    @pytest.mark.parametrize("coords", [[[0, 0], [1e308, 1e308], [-1e308, 0]],
+                                        [[0, 0], [1e200, 0]],
+                                        [[0, 0], [1e154, 0], [0, 1e154]]])
+    def test_overflowing_distance_rejected(self, coords):
+        with pytest.raises(ValueError, match="a pairwise distance overflows"):
+            Instance(ProblemKind.TSP, coords)
+
+    def test_distances_near_overflow_accepted(self):
+        # The bounding box diagonal overflows, but no pairwise distance does.
+        inst = Instance(ProblemKind.TSP, [[0, 0], [1.1e154, 0], [0.55e154, 1.1e154]])
+        assert np.isfinite(inst.cost_matrix()).all()
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_non_finite_demand_rejected(self, bad):
         with pytest.raises(ValueError, match="demands must be finite"):
@@ -186,6 +198,13 @@ class TestInstanceIO:
         path.write_text('{"problem": "tsp", "coords": [[0, 0], [NaN, 1], [2, 2]]}')
         with pytest.raises(InstanceFormatError, match="coords must be finite"):
             read_instance(path)
+
+    def test_overflowing_distance_is_reported(self, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_text('{"problem": "tsp", "coords": [[0, 0], [1e308, 1e308], [-1e308, 0]]}')
+        with pytest.raises(InstanceFormatError, match="distance overflows") as err:
+            read_instance(path)
+        assert str(path) in str(err.value)
 
     def test_inverted_window_is_reported(self, tmp_path):
         path = tmp_path / "bad.json"
