@@ -138,7 +138,8 @@ def read_heatmap(path: str | Path, n: int) -> Heatmap:
     if not lines:
         raise HeatmapFormatError(f"{path}: empty file")
     header = lines[0].split()
-    if len(header) < 2 or header[0] not in ("dense", "sparse"):
+    if (len(header) < 2 or header[0] not in ("dense", "sparse")
+            or header[2:] not in ([], ["directed"])):
         raise HeatmapFormatError(f"{path}: line 1: expected 'dense|sparse n [directed]'")
     try:
         file_n = int(header[1])
@@ -146,7 +147,7 @@ def read_heatmap(path: str | Path, n: int) -> Heatmap:
         raise HeatmapFormatError(f"{path}: line 1: bad dimension {header[1]!r}") from None
     if file_n != n:
         raise HeatmapFormatError(f"{path}: dimension {file_n} does not match expected {n}")
-    directed = len(header) > 2 and header[2] == "directed"
+    directed = len(header) == 3
 
     values = np.zeros((n, n))
     if header[0] == "dense":

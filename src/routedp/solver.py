@@ -109,24 +109,34 @@ def group_by_visited(beam: Beam) -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass
 class Candidates:
-    """Flat candidate arrays of one expansion step (see _build_candidates)."""
+    """Flat candidate arrays of one expansion step (see _build_candidates); the
+    cost may be left unbuilt (None), to be built only for the rows read."""
 
     parent_pos: np.ndarray    # parent row, which is its trace slot
     target: np.ndarray        # node being visited
     action: np.ndarray        # action code (decode.py)
     state_id: np.ndarray      # group * n + target, so >= 0
-    cost: np.ndarray
+    cost: np.ndarray | None   # None: see cost_at
     score: np.ndarray
     extra: np.ndarray | None = None   # remcap (VRP) / time (TSPTW)
     regain: np.ndarray | None = None  # table of the parents' groups (_regain_table)
+    late: tuple[np.ndarray, ...] | None = None   # parents' cost, raveled step cost, flat index
+
+    def cost_at(self, rows: np.ndarray | slice = slice(None)) -> np.ndarray:
+        """The rows' cost: each parent's plus its step cost at the flat index."""
+        if self.cost is not None:
+            return self.cost[rows]
+        parent_cost, step_cost, flat = self.late
+        return parent_cost[self.parent_pos[rows]] + step_cost[flat[rows]]
 
     def take(self, idx: np.ndarray) -> Candidates:
-        # Every per-row array indexed by idx; all rows share one regain table.
-        return replace(self, **{k: v[idx] for k, v in vars(self).items()
-                                if v is not None and k != "regain"})
+        # Every per-row array indexed by idx, cost built; all rows share one regain table.
+        rows = {k: v[idx] for k, v in vars(self).items()
+                if v is not None and k not in ("cost", "regain", "late")}
+        return replace(self, **rows, cost=self.cost_at(idx), late=None)
 
     def __len__(self) -> int:
-        return self.cost.shape[0]
+        return self.parent_pos.shape[0]
 
 
 @dataclass
@@ -200,15 +210,18 @@ def _build_candidates(ctx: _Context, beam: Beam, groups: np.ndarray, ppos: np.nd
     """Candidates for the feasible actions col[k], moves to tgt[k] = col[k] % n,
     of parent rows ppos[k], with the expander's extra (remaining capacity or
     time).  Cost and score add the (node, action) entries of ctx.step_cost and
-    ctx.step_score; the score also adds the regain of the parent's group."""
-    cur = beam.current[ppos]
-    cost = beam.cost[ppos] + ctx.step_cost[cur, col]
+    ctx.step_score, both read at one flat index; the score also adds the regain
+    of the parent's group.  Cost is left to be built late unless it ranks."""
+    flat = beam.current[ppos] * ctx.step_cost.shape[1] + col
     state_id = groups[ppos] * np.int64(ctx.n) + tgt
+    late = (beam.cost, ctx.step_cost.ravel(), flat)
+    if ctx.config.policy.ranks_by_cost:
+        cost = beam.cost[ppos] + ctx.step_cost.ravel()[flat]
+        return Candidates(ppos, tgt, col, state_id, cost, -cost, extra)
     # Row g of the table belongs to group g, so its entry (g, t) sits at state_id.
-    table = None if ctx.config.policy.ranks_by_cost else _regain_table(ctx, beam, groups)
-    score = -cost if table is None else (beam.score[ppos] + ctx.step_score[cur, col]
-                                         + table.ravel()[state_id])
-    return Candidates(ppos, tgt, col, state_id, cost, score, extra, table)
+    table = _regain_table(ctx, beam, groups)
+    score = beam.score[ppos] + ctx.step_score.ravel()[flat] + table.ravel()[state_id]
+    return Candidates(ppos, tgt, col, state_id, None, score, extra, table, late)
 
 
 def _regain_table(ctx: _Context, beam: Beam, groups: np.ndarray) -> np.ndarray:
@@ -320,7 +333,7 @@ def prune_capacity_time(cand: Candidates, objective: np.ndarray | None,
         i = j if every else rows[j]
         if shared is None or j.size:   # tie keys minor to major; a via move's action is higher
             keep[j] = prune_pareto_front(
-                cand.state_id[i], cand.cost[i], None if objective is None else objective[i],
+                cand.state_id[i], cand.cost_at(i), None if objective is None else objective[i],
                 tie_keys=(cand.parent_pos[i], -cand.score[i], -cand.action[i]))
         kept = np.flatnonzero(keep) if every else rows[keep]
         if every or np.count_nonzero(cand.score[kept] >= bound) >= beam_size:
@@ -341,7 +354,7 @@ def select_top_b(cand: Candidates, beam_size: int) -> Candidates:
     if len(cand) > beam_size:
         sel = np.flatnonzero(neg <= np.partition(neg, beam_size - 1)[beam_size - 1])
     order = argsort_ties(neg[sel], (cand.action[sel], cand.parent_pos[sel],
-                                    cand.target[sel], cand.cost[sel]))
+                                    cand.target[sel], cand.cost_at(sel)))
     return cand.take(sel[order[:beam_size]])
 
 

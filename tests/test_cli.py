@@ -233,8 +233,9 @@ class TestSolveCommand:
         (None, b"dense 8\n\xff\n", "tsp8_0000.heat: not UTF-8 text"),
         (b'{"problem": "tsp", "coords": [[0, 0], [1e308, 1e308], [-1e308, 0]]}', None,
          "bad.json: coords lie too far apart: a pairwise distance overflows"),
+        (None, b"sparse 8 directd\n0 1 0.5\n", "tsp8_0000.heat: line 1: expected"),
     ], ids=["instance-not-utf8", "instance-nested-too-deeply", "heatmap-not-utf8",
-            "instance-distance-overflows"])
+            "instance-distance-overflows", "heatmap-header-misspelled"])
     def test_unreadable_file_is_an_error_row_naming_it(self, tmp_path, bad, heat, match):
         d = write_tsp_dir(tmp_path, count=1)
         args = []

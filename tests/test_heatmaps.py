@@ -292,3 +292,22 @@ class TestHeatmapIO:
         path.write_text("sparse 2\n0 1 0.5\n")
         with pytest.raises(HeatmapFormatError, match="directed"):
             read_heatmap(path, 2)
+
+    @pytest.mark.parametrize("header", ["dense 3 directd", "dense 3 directed junk",
+                                        "sparse 3 undirected", "sparse 3 directed directed",
+                                        "dense 3 Directed", "dense", "heat 3"])
+    def test_malformed_header_names_line_1(self, tmp_path, header):
+        # A misspelled or extra token must not load as an undirected heatmap.
+        path = tmp_path / "h.heat"
+        body = "0 0.5 0\n0.5 0 0\n0 0 0\n" if header.startswith("dense") else "0 1 0.5\n"
+        path.write_text(f"{header}\n{body}")
+        with pytest.raises(HeatmapFormatError, match=r"line 1: expected 'dense\|sparse n"):
+            read_heatmap(path, 3)
+
+    @pytest.mark.parametrize("header, directed", [("dense 3", False), ("dense 3 directed", True),
+                                                  ("  sparse   3\tdirected ", True)])
+    def test_well_formed_header_accepted(self, tmp_path, header, directed):
+        path = tmp_path / "h.heat"
+        body = "0 0.5 0\n0.5 0 0\n0 0 0\n" if "dense" in header else "0 1 0.5\n1 0 0.5\n"
+        path.write_text(f"{header}\n{body}")
+        assert read_heatmap(path, 3).directed == directed

@@ -12,7 +12,7 @@ from routedp import (DEPOT, Heatmap, Policy, ProblemKind, SolverConfig,
                      generate_vrp, replay, solve)
 from routedp import solver
 from routedp.instances import Instance
-from routedp.solver import (Beam, Candidates, _Context, _init_beam, expand_tsp,
+from routedp.solver import (Beam, Candidates, _Context, _init_beam, expand_tsp, expand_tsptw,
                             expand_vrp, group_by_visited, prune_capacity_time, select_top_b,
                             build_graph, effective_heatmap)
 from routedp.policy import build_policy_tables, initial_potential
@@ -183,7 +183,7 @@ class TestExpansion:
         assert len(cand) == 3
         assert sorted(cand.target.tolist()) == [1, 2, 3]
         for i in range(3):
-            assert cand.cost[i] == pytest.approx(
+            assert cand.cost_at()[i] == pytest.approx(
                 ctx.costs[DEPOT, cand.target[i]], abs=1e-12)
 
     def test_shared_state_keeps_min_cost(self):
@@ -237,7 +237,7 @@ class TestExpansion:
         assert shared
 
         kept = prune_capacity_time(cand, cand.extra)
-        want = naive_pareto(cand.state_id, cand.cost, cand.extra, cand.action,
+        want = naive_pareto(cand.state_id, cand.cost_at(), cand.extra, cand.action,
                             cand.parent_pos, cand.score, (~via).astype(np.int8))
         assert (sorted(zip(kept.parent_pos.tolist(), kept.action.tolist()))
                 == sorted(zip(cand.parent_pos[want].tolist(), cand.action[want].tolist())))
@@ -314,7 +314,7 @@ def test_vrp_expansion_prunes_like_every_feasible_move(case):
     def survivors(cand):
         kept = prune_capacity_time(cand, cand.extra) if len(cand) else cand
         return sorted(zip(kept.parent_pos.tolist(), kept.action.tolist(),
-                          kept.cost.tolist(), kept.extra.tolist()))
+                          kept.cost_at().tolist(), kept.extra.tolist()))
 
     cand = expand_vrp(beam, groups, ctx)
     assert survivors(cand) == survivors(every)
@@ -480,6 +480,74 @@ class TestNeighbourScan:
         assert np.array_equal(cand.target, targets)
         if n > 12:   # every sparse graph takes the neighbour lists
             assert 4 * ctx.neighbours[1][beam.current].max() < n
+
+
+@st.composite
+def tsptw_beams(draw):
+    """A TSPTW context on 4-8 nodes with generated windows and a random graph,
+    and a beam of 1-10 rows whose visited sets, all of one size as in a solve,
+    come from a pool of 1-3, so groups repeat; costs and arrival times lie on
+    coarse grids."""
+    n = draw(st.integers(4, 8))
+    ctx = make_context(generate_tsptw(n, seed=draw(st.integers(0, 99))))
+    adj = np.array(draw(st.lists(st.booleans(), min_size=n * n, max_size=n * n))).reshape(n, n)
+    ctx.adj = adj & ~np.eye(n, dtype=bool)
+    size = draw(st.integers(0, n - 2))
+    pool = draw(st.lists(st.sets(st.integers(1, n - 1), min_size=size, max_size=size),
+                         min_size=1, max_size=3))
+    rows = []
+    for _ in range(draw(st.integers(1, 10))):
+        vis = draw(st.sampled_from(pool))
+        cur = draw(st.sampled_from(sorted(vis))) if vis else DEPOT
+        rows.append(({DEPOT} | vis, cur, draw(st.integers(0, 12)) / 7))
+    beam = beam_from_rows(ctx, rows)
+    beam.extra = 40.0 * np.array(draw(st.lists(st.integers(0, 8), min_size=len(rows),
+                                               max_size=len(rows))))
+    return ctx, beam
+
+
+@st.composite
+def scan_beams(draw):
+    """scan_cases' graph and TSP beam, with a scoring context and costs."""
+    adj, visited, current = draw(scan_cases())
+    ctx = make_context(generate_tsp(adj.shape[0], seed=0))
+    ctx.adj = adj
+    costs = draw(st.lists(st.integers(0, 12), min_size=len(current), max_size=len(current)))
+    return ctx, beam_from_rows(ctx, [(set(np.flatnonzero(v).tolist()), cur, c / 7)
+                                     for v, cur, c in zip(visited, current, costs)])
+
+
+class TestLateCost:
+    """Expansion leaves the cost to be built for the rows read; that cost, and
+    what prune and select make of it, must equal an eagerly built one."""
+
+    # problem -> (expander, dominance objective, whether pruning takes the groups)
+    PROBLEMS = {ProblemKind.TSP: (expand_tsp, lambda c: None, True),
+                ProblemKind.VRP: (expand_vrp, lambda c: c.extra, False),
+                ProblemKind.TSPTW: (expand_tsptw, lambda c: -c.extra, True)}
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(scan_beams(), vrp_beams(), tsptw_beams()), st.integers(1, 12),
+           st.randoms(use_true_random=False))
+    def test_late_cost_equals_eager(self, case, beam_size, rnd):
+        ctx, beam = case
+        expand, objective, by_group = self.PROBLEMS[ctx.instance.kind]
+        groups = row_groups(beam)
+        cand = expand(beam, groups, ctx)
+        ppos = cand.parent_pos
+        want = beam.cost[ppos] + ctx.step_cost[beam.current[ppos], cand.action]
+        assert cand.cost is None
+        rows = np.array(rnd.sample(range(len(cand)), rnd.randint(0, len(cand))), dtype=np.int64)
+        assert np.array_equal(cand.cost_at(rows), want[rows])
+        assert np.array_equal(cand.take(rows).cost, want[rows])
+        assert np.array_equal(cand.cost_at(), want)
+        eager = Candidates(ppos, cand.target, cand.action, cand.state_id, want, cand.score,
+                           cand.extra, cand.regain)
+        obj, pgroups = objective(cand), groups if by_group else None
+        assert_same_candidates(
+            select_top_b(prune_capacity_time(cand, obj, pgroups, beam_size), beam_size),
+            select_top_b(prune_capacity_time(eager, obj, pgroups, beam_size), beam_size))
+        assert_same_candidates(select_top_b(cand, beam_size), select_top_b(eager, beam_size))
 
 
 @st.composite

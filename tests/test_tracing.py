@@ -1,9 +1,11 @@
-"""The benchmark's --trace 1 mode finds every solver layer it wraps by name.
+"""The benchmark's --trace 1 mode finds every solver layer it wraps by name,
+and its workloads still solve to the pinned bench hashes.
 
 benchmarks/tracing.py replaces routedp.solver attributes by name, so a
 renamed layer function would only show up as a missing layer in a traced
 benchmark run.  These tests import the benchmark modules without changing
-them and trace one small solve per problem.
+them and trace one small solve per problem.  A speed-up that drifts the
+returned actions would otherwise show only in a benchmark run's hash.
 """
 
 import importlib.util
@@ -19,11 +21,13 @@ from routedp import Policy, SolverConfig, generate_tsp, generate_tsptw, generate
 BENCH_DIR = Path(__file__).resolve().parent.parent / "benchmarks"
 
 
-def load(name):
+def load(name, **imports):
+    """benchmarks/<name>.py as a module; imports names the benchmark modules
+    it imports by their plain names."""
     spec = importlib.util.spec_from_file_location(f"bench_{name}", BENCH_DIR / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     # run.py pins BLAS threads in os.environ; dataclasses look their module up.
-    with mock.patch.dict(os.environ), mock.patch.dict(sys.modules, {spec.name: module}):
+    with mock.patch.dict(os.environ), mock.patch.dict(sys.modules, {spec.name: module, **imports}):
         spec.loader.exec_module(module)
     return module
 
@@ -50,3 +54,22 @@ def test_traced_solve_records_every_layer_and_count(bench, generate):
     assert sorted(set(tracing.LAYERS) - set(self_s)) == []
     assert sorted(set(run.COUNTS) - set(counts)) == []
     assert not tracer.rec.broken_counters
+    # Candidates whose cost is built late still count every row.
+    assert counts["solver.expand.candidates"] == counts["solver.prune.in"] > 0
+    assert counts["pruning.kernel.in"] <= counts["solver.prune.in"]
+
+
+# Leading 16 hex digits of each workload's seed-0 bench hash (benchmarks/run.py).
+BENCH_HASHES = {"tsp100-heat-sparse": "a5da2064b58eb9df", "tsp100-dense": "7459b03e8bb8eac0",
+                "vrp100-pareto": "15a52288d8e01300", "tsptw100-windows": "87cd669bd3d63bed"}
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("name", BENCH_HASHES)
+def test_seed_0_bench_hash_is_pinned(name):
+    workloads = load("workloads")
+    checks = load("checks", workloads=workloads)
+    w = workloads.WORKLOADS[name]
+    cases, _ = workloads.make_cases(w, 0)
+    found = [solve(c.instance, w.config, heatmap=c.heatmap).solution for c in cases]
+    assert checks.action_hash([s.actions for s in found])[:16] == BENCH_HASHES[name]
