@@ -62,9 +62,6 @@ class SparseGraph:
     def n(self) -> int:
         return self.adj.shape[0]
 
-    def edge_set(self) -> set[tuple[int, int]]:
-        return {(int(i), int(j)) for i, j in np.argwhere(self.adj)}
-
     @classmethod
     def from_adjacency(cls, adj: np.ndarray) -> "SparseGraph":
         """Graph of adj with any self-loops dropped."""

@@ -87,5 +87,5 @@ def prune_pareto_front(
         k = int(neg_rank.max()) + 1
         key = (np.cumsum(kept) - 1) * k + (k - 1 - neg_rank)
         kept = np.concatenate(([True], key[1:] > np.maximum.accumulate(key)[:-1]))
-    keep[order[kept]] = True
+    keep[np.compress(kept, order)] = True
     return keep

@@ -8,6 +8,11 @@ from __future__ import annotations
 import numpy as np
 
 
+def edge_set(graph):
+    """The graph's directed edges (i, j) as a set of int pairs."""
+    return {(int(i), int(j)) for i, j in np.argwhere(graph.adj)}
+
+
 def naive_single_best(state_id, cost, parent_slot, score):
     """Expected survivor mask: one minimum-cost candidate per state.
 

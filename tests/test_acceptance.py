@@ -12,7 +12,7 @@ import math
 import numpy as np
 import pytest
 
-from helpers import naive_pareto, naive_single_best, random_candidate_groups
+from helpers import edge_set, naive_pareto, naive_single_best, random_candidate_groups
 from routedp import (Policy, ProblemKind, SolverConfig, SparseGraph,
                      brute_force, exact_dp, generate_tsp, generate_tsptw,
                      generate_vrp, initial_potential, replay, solve,
@@ -305,7 +305,7 @@ def test_11_sparsification_sanity():
     for trial in range(100):
         h = random_heatmap(rng, 10)
         t1, t2 = sorted(rng.random(2) * 0.9)
-        if sparsify_threshold(h, t2).edge_set() <= sparsify_threshold(h, t1).edge_set():
+        if edge_set(sparsify_threshold(h, t2)) <= edge_set(sparsify_threshold(h, t1)):
             nested += 1
     report("sparsification sanity", mismatches == 0 and nested == 100,
            f"complete-graph cost reproduced on 10/10 instances "

@@ -2,7 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from helpers import edge_set
 from routedp import (Heatmap, SparseGraph, cost_heatmap, euclidean_cost_matrix,
                      read_heatmap, sparsify_knn, sparsify_threshold, symmetrize,
                      write_heatmap)
@@ -101,33 +104,33 @@ class TestThresholdSparsification:
     def test_threshold_zero_gives_complete_digraph(self):
         rng = np.random.default_rng(1)
         g = sparsify_threshold(random_heatmap(rng, 6), 0.0)
-        assert len(g.edge_set()) == 6 * 5
+        assert len(edge_set(g)) == 6 * 5
 
     def test_threshold_above_all_entries_gives_empty_graph(self):
         rng = np.random.default_rng(2)
         h = random_heatmap(rng, 5)
         t = h.values.max() + 1e-9
-        assert sparsify_threshold(h, t).edge_set() == set()
+        assert edge_set(sparsify_threshold(h, t)) == set()
 
     def test_boundary_is_inclusive(self):
         v = np.zeros((2, 2))
         v[0, 1] = v[1, 0] = 1e-5
         g = sparsify_threshold(Heatmap(v), 1e-5)
-        assert (0, 1) in g.edge_set()
+        assert (0, 1) in edge_set(g)
 
     def test_vrp_forces_depot_edges(self):
         rng = np.random.default_rng(3)
         h = random_heatmap(rng, 6)
         g = sparsify_threshold(h, 0.999, vrp=True)
         for i in range(1, 6):
-            assert (0, i) in g.edge_set()
-            assert (i, 0) in g.edge_set()
+            assert (0, i) in edge_set(g)
+            assert (i, 0) in edge_set(g)
 
     def test_monotone_in_threshold(self):
         rng = np.random.default_rng(4)
         h = random_heatmap(rng, 8)
-        e_low = sparsify_threshold(h, 0.2).edge_set()
-        e_high = sparsify_threshold(h, 0.6).edge_set()
+        e_low = edge_set(sparsify_threshold(h, 0.2))
+        e_high = edge_set(sparsify_threshold(h, 0.6))
         assert e_high <= e_low
 
     def test_invalid_threshold_rejected(self):
@@ -142,22 +145,22 @@ class TestKnnSparsification:
     def test_full_k_gives_complete_graph(self):
         coords = np.random.default_rng(6).random((7, 2))
         g = sparsify_knn(euclidean_cost_matrix(coords), 6)
-        assert len(g.edge_set()) == 7 * 6
+        assert len(edge_set(g)) == 7 * 6
 
     def test_collinear_points_k1(self):
         coords = np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0], [3.0, 0.0]])
         g = sparsify_knn(euclidean_cost_matrix(coords), 1)
         # 0 and 3 pick their only neighbors; 1 and 2 break the distance tie
         # toward the lower index; all picked edges are made bidirectional.
-        assert g.edge_set() == {(0, 1), (1, 0), (1, 2), (2, 1), (2, 3), (3, 2)}
+        assert edge_set(g) == {(0, 1), (1, 0), (1, 2), (2, 1), (2, 3), (3, 2)}
         assert g.adj.any(axis=1).all()
 
     def test_vrp_forces_depot_edges(self):
         coords = np.random.default_rng(7).random((8, 2))
         g = sparsify_knn(euclidean_cost_matrix(coords), 1, vrp=True)
         for i in range(1, 8):
-            assert (0, i) in g.edge_set()
-            assert (i, 0) in g.edge_set()
+            assert (0, i) in edge_set(g)
+            assert (i, 0) in edge_set(g)
 
     @pytest.mark.parametrize("layout", ["random", "collinear", "coincident"])
     def test_matches_per_node_sort(self, layout):
@@ -311,3 +314,31 @@ class TestHeatmapIO:
         body = "0 0.5 0\n0.5 0 0\n0 0 0\n" if "dense" in header else "0 1 0.5\n1 0 0.5\n"
         path.write_text(f"{header}\n{body}")
         assert read_heatmap(path, 3).directed == directed
+
+
+# A header line and body lines of tokens, valid and not, so that drawn files
+# reach every check; or any bytes.
+TOKENS = (st.sampled_from(["dense", "sparse", "directed", "0", "1", "2", "-1", "0.5", "1.0",
+                           "1e400", "nan", "inf"])
+          | st.integers().map(str) | st.floats().map(str) | st.text(max_size=3))
+HEADERS = st.tuples(st.sampled_from(["dense", "sparse"]), st.sampled_from(["2", "3"]),
+                    st.sampled_from(["", "directed"])).map(" ".join)
+HEATMAP_BYTES = st.binary(max_size=40) | st.tuples(
+    HEADERS | st.lists(TOKENS, max_size=4).map(" ".join),
+    st.lists(st.lists(TOKENS, max_size=4).map(" ".join), max_size=5)).map(
+    lambda lines: "\n".join([lines[0], *lines[1]]).encode("utf-8", "surrogatepass"))
+
+
+@pytest.fixture(scope="module")
+def heatmap_file(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz") / "h.heat"
+
+
+@settings(max_examples=600, deadline=None)
+@given(HEATMAP_BYTES, st.integers(0, 4) | st.sampled_from([2, 3]))
+def test_any_bytes_load_or_raise_the_format_error(heatmap_file, data, n):
+    heatmap_file.write_bytes(data)
+    try:
+        assert read_heatmap(heatmap_file, n).n == n
+    except HeatmapFormatError:
+        pass

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from routedp import (DEPOT, Instance, ProblemKind, euclidean_cost_matrix,
                      generate_tsp, generate_tsptw, generate_vrp,
@@ -305,3 +307,39 @@ class TestInstanceIO:
         path.write_text('{"problem": "mstp", "coords": [[0,0],[1,1]]}')
         with pytest.raises(InstanceFormatError, match="mstp"):
             read_instance(path)
+
+
+# Any JSON value, and number rows shaped like coords or windows (with values
+# past float range, or whose distances overflow), so that drawn files also
+# reach the checks past the field types.
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=3), inner,
+                                                                 max_size=3),
+    max_leaves=12)
+NUMBERS = st.integers() | st.floats() | st.sampled_from([10**400, -1e308, 1e308])
+FIELD_VALUES = JSON_VALUES | NUMBERS | st.lists(NUMBERS | st.none(), max_size=4) | st.lists(
+    st.lists(NUMBERS | st.none(), min_size=2, max_size=2), max_size=4)
+FIELDS = {"tsp": ("coords",), "vrp": ("coords", "demands", "capacity"),
+          "tsptw": ("coords", "time_windows")}
+# Each problem with its own fields, or any problem value with any fields.
+INSTANCE_OBJECTS = st.one_of(
+    *(st.fixed_dictionaries({"problem": st.just(p), **{k: FIELD_VALUES for k in own}})
+      for p, own in FIELDS.items()),
+    st.fixed_dictionaries({"problem": st.sampled_from(list(FIELDS)) | JSON_VALUES},
+                          optional={k: FIELD_VALUES for k in FIELDS["vrp"] + FIELDS["tsptw"]}))
+
+
+@pytest.fixture(scope="module")
+def instance_file(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz") / "inst.json"
+
+
+@settings(max_examples=400, deadline=None)
+@given(INSTANCE_OBJECTS)
+def test_any_field_value_loads_or_raises_the_format_error(instance_file, obj):
+    instance_file.write_text(json.dumps(obj), encoding="utf-8")
+    try:
+        assert isinstance(read_instance(instance_file), Instance)
+    except InstanceFormatError:
+        pass

@@ -1,5 +1,5 @@
 """The benchmark's --trace 1 mode finds every solver layer it wraps by name,
-and its workloads still solve to the pinned bench hashes.
+and its workloads still solve to the pinned bench hashes and traced counts.
 
 benchmarks/tracing.py replaces routedp.solver attributes by name, so a
 renamed layer function would only show up as a missing layer in a traced
@@ -63,13 +63,28 @@ def test_traced_solve_records_every_layer_and_count(bench, generate):
 BENCH_HASHES = {"tsp100-heat-sparse": "a5da2064b58eb9df", "tsp100-dense": "7459b03e8bb8eac0",
                 "vrp100-pareto": "15a52288d8e01300", "tsptw100-windows": "87cd669bd3d63bed"}
 
+# The traced counts (run.COUNTS) summed over each workload's seed-0 list, so
+# that a refactor meant to do the same work cannot move work between layers.
+BENCH_COUNTS = {
+    "tsp100-heat-sparse": (2110056, 21821740, 21821740, 5777355, 6529768),
+    "tsp100-dense": (1272344, 76105358, 76105358, 3559284, 2970174),
+    "vrp100-pareto": (199127, 19123439, 19123439, 1120650, 1733476),
+    "tsptw100-windows": (432075, 6933490, 6933490, 2837627, 6601365),
+}
+
 
 @pytest.mark.slow
 @pytest.mark.parametrize("name", BENCH_HASHES)
-def test_seed_0_bench_hash_is_pinned(name):
+def test_seed_0_bench_hash_is_pinned(bench, name):
+    tracing, run = bench
     workloads = load("workloads")
     checks = load("checks", workloads=workloads)
     w = workloads.WORKLOADS[name]
     cases, _ = workloads.make_cases(w, 0)
-    found = [solve(c.instance, w.config, heatmap=c.heatmap).solution for c in cases]
+    tracer = tracing.Tracer()
+    found = [tracer.traced_solve(solve, c.instance, w.config, heatmap=c.heatmap).solution
+             for c in cases]
     assert checks.action_hash([s.actions for s in found])[:16] == BENCH_HASHES[name]
+    _, counts = tracing.layer_totals(tracer.rec, len(cases))
+    assert not tracer.rec.broken_counters
+    assert tuple(round(counts[k] * len(cases)) for k in run.COUNTS) == BENCH_COUNTS[name]
