@@ -142,7 +142,7 @@ def _solve_one(args: tuple) -> ReportRow:
     path, problem, heatmap_dir, config, out_dir = args
     instance_id = path.stem
     label = _sparsification_label(config)
-    hm_time = 0.0
+    hm_time, solve_time = 0.0, None
     try:
         instance = read_instance(path)
         if problem is not None and instance.kind.value != problem:
@@ -156,19 +156,19 @@ def _solve_one(args: tuple) -> ReportRow:
         t0 = time.perf_counter()
         result = solve(instance, config, heatmap=heatmap)
         solve_time = time.perf_counter() - t0
-    except (OSError, ValueError, RuntimeError) as exc:
+        if result.found and out_dir is not None:
+            sol = result.solution
+            out = {"actions": list(sol.actions), "routes": [list(r) for r in sol.routes],
+                   "cost": sol.cost}
+            (Path(out_dir) / f"{instance_id}.sol.json").write_text(
+                json.dumps(out), encoding="utf-8")
+    except (OSError, ValueError, RuntimeError) as exc:   # one failed file, not the batch
         return ReportRow(instance_id, None, False, config.beam_size,
-                         config.policy.value, label, None, hm_time, error=str(exc))
+                         config.policy.value, label, solve_time, hm_time, error=str(exc))
     if not result.found:
         return ReportRow(instance_id, None, False, config.beam_size,
                          config.policy.value, label, solve_time, hm_time,
                          error=f"beam died at step {result.failed_at_step}")
-    if out_dir is not None:
-        sol = result.solution
-        out = {"actions": list(sol.actions), "routes": [list(r) for r in sol.routes],
-               "cost": sol.cost}
-        (Path(out_dir) / f"{instance_id}.sol.json").write_text(
-            json.dumps(out), encoding="utf-8")
     return ReportRow(instance_id, result.solution.cost, True, config.beam_size,
                      config.policy.value, label, solve_time, hm_time)
 

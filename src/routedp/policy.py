@@ -45,10 +45,6 @@ class Policy(str, Enum):
     def uses_potential(self) -> bool:
         return self in (Policy.HEAT_POTENTIAL, Policy.COST_HEAT_POTENTIAL)
 
-    @property
-    def ranks_by_cost(self) -> bool:
-        return self is Policy.COST
-
 
 def _on_grid(a: np.ndarray, n: int) -> np.ndarray:
     """a rounded to the score grid of an n-node instance (module docstring)."""

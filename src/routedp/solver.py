@@ -111,31 +111,28 @@ def group_by_visited(beam: Beam) -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass
 class Candidates:
-    """Flat candidate arrays of one expansion step (see _build_candidates); the
-    cost may be left unbuilt (None), to be built only for the rows read."""
+    """Flat candidate arrays of one expansion step (see _build_candidates).  The
+    cost is not held per row: cost_at builds it for the rows read."""
 
     parent_pos: np.ndarray    # parent row, which is its trace slot
     target: np.ndarray        # node being visited
     action: np.ndarray        # action code (decode.py)
     state_id: np.ndarray      # group * n + target, so >= 0
-    cost: np.ndarray | None   # None: see cost_at
+    flat: np.ndarray          # (node, action) index into the raveled step tables
     score: np.ndarray
+    steps: tuple[np.ndarray, np.ndarray]   # parents' cost, raveled step cost
     extra: np.ndarray | None = None   # remcap (VRP) / time (TSPTW)
     regain: np.ndarray | None = None  # table of the parents' groups (_regain_table)
-    late: tuple[np.ndarray, ...] | None = None   # parents' cost, raveled step cost, flat index
 
     def cost_at(self, rows: np.ndarray | slice = slice(None)) -> np.ndarray:
         """The rows' cost: each parent's plus its step cost at the flat index."""
-        if self.cost is not None:
-            return self.cost[rows]
-        parent_cost, step_cost, flat = self.late
-        return parent_cost[self.parent_pos[rows]] + step_cost[flat[rows]]
+        parent_cost, step_cost = self.steps
+        return parent_cost[self.parent_pos[rows]] + step_cost[self.flat[rows]]
 
     def take(self, idx: np.ndarray) -> Candidates:
-        # Every per-row array indexed by idx, cost built; all rows share one regain table.
-        rows = {k: v[idx] for k, v in vars(self).items()
-                if v is not None and k not in ("cost", "regain", "late")}
-        return replace(self, **rows, cost=self.cost_at(idx), late=None)
+        # Every per-row array indexed by idx; all rows share the steps and one regain table.
+        return replace(self, **{k: v[idx] for k, v in vars(self).items()
+                                if v is not None and k not in ("steps", "regain")})
 
     def __len__(self) -> int:
         return self.parent_pos.shape[0]
@@ -170,7 +167,9 @@ class _Context:
     # step_score[i, a] = heat of a - (start_potential.p[t] + sum_v delta[t, v]).
     # The regain sum depends on V only, so it is kept per visited-set group and
     # carried to the children; the tables lie on the score grid (policy.py), so
-    # every sum is exact in any order.
+    # every sum is exact in any order.  Policy.COST has no potential (zero regain
+    # and start) and step_score = -step_cost, so as fl(-a - b) = -fl(a + b) its
+    # score is exactly -cost by negation, off the grid.
     @cached_property
     def step_cost(self) -> np.ndarray:
         c = self.costs   # c(i, 0) + c(0, j) in column n + j, summed as replay sums it
@@ -178,6 +177,8 @@ class _Context:
 
     @cached_property
     def step_score(self) -> np.ndarray:
+        if self.config.policy is Policy.COST:   # no potential, so score = -cost
+            return -self.step_cost
         t = self.tables
         heat = t.heat if t.via_depot_heat is None else np.hstack([t.heat, t.via_depot_heat])
         drop = self.start_potential.p + t.delta.sum(axis=1)
@@ -213,17 +214,14 @@ def _build_candidates(ctx: _Context, beam: Beam, groups: np.ndarray, ppos: np.nd
     of parent rows ppos[k], with the expander's extra (remaining capacity or
     time).  Cost and score add the (node, action) entries of ctx.step_cost and
     ctx.step_score, both read at one flat index; the score also adds the regain
-    of the parent's group.  Cost is left to be built late unless it ranks."""
+    of the parent's group.  The cost is built late, for the rows read."""
     flat = beam.current[ppos] * ctx.step_cost.shape[1] + col
     state_id = groups[ppos] * np.int64(ctx.n) + tgt
-    late = (beam.cost, ctx.step_cost.ravel(), flat)
-    if ctx.config.policy.ranks_by_cost:
-        cost = beam.cost[ppos] + ctx.step_cost.ravel()[flat]
-        return Candidates(ppos, tgt, col, state_id, cost, -cost, extra)
     # Row g of the table belongs to group g, so its entry (g, t) sits at state_id.
     table = _regain_table(ctx, beam, groups)
     score = beam.score[ppos] + ctx.step_score.ravel()[flat] + table.ravel()[state_id]
-    return Candidates(ppos, tgt, col, state_id, None, score, extra, table, late)
+    return Candidates(ppos, tgt, col, state_id, flat, score,
+                      (beam.cost, ctx.step_cost.ravel()), extra, table)
 
 
 def _regain_table(ctx: _Context, beam: Beam, groups: np.ndarray) -> np.ndarray:
@@ -385,9 +383,9 @@ def _init_beam(ctx: _Context) -> Beam:
         extra = np.array([float(ctx.instance.capacity)])
     elif kind == ProblemKind.TSPTW:
         extra = np.array([0.0])
-    score = -0.0 if ctx.config.policy.ranks_by_cost else ctx.start_potential.total
     # The root row's regain table is one zero row, its origin group 0 and node 0.
-    return Beam(np.zeros(1), np.full(1, DEPOT, dtype=np.int64), np.array([score]),
+    return Beam(np.zeros(1), np.full(1, DEPOT, dtype=np.int64),
+                np.array([ctx.start_potential.total]),
                 visited, extra, (ctx.set_key * visited).sum(axis=1),
                 origin=np.zeros(1, dtype=np.int64), regain=np.zeros((1, ctx.n)))
 
@@ -397,7 +395,7 @@ def _next_beam(beam: Beam, cand: Candidates, ctx: _Context) -> Beam:
     visited = beam.visited[cand.parent_pos]
     visited[np.arange(len(cand)), cand.target] = True
     key = beam.key[cand.parent_pos] + ctx.set_key[cand.target]   # wraps
-    return Beam(cand.cost, cand.target, cand.score, visited, cand.extra, key,
+    return Beam(cand.cost_at(), cand.target, cand.score, visited, cand.extra, key,
                 cand.state_id, cand.regain)
 
 

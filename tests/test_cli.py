@@ -1,11 +1,15 @@
+import contextlib
 import csv
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from routedp import (generate_tsp, generate_tsptw, generate_vrp, read_instance, replay,
-                     write_instance)
+from routedp import (Heatmap, Policy, ProblemKind, generate_tsp, generate_tsptw, generate_vrp,
+                     read_instance, replay, write_heatmap, write_instance)
 from routedp import cli
 from routedp.cli import main
 
@@ -303,6 +307,20 @@ class TestSolveCommand:
         assert errors == {"tsp8_0000": "", "tsp8_0001": "internal error: injected",
                           "tsp8_0002": ""}
 
+    def test_unwritable_solution_file_is_an_error_row(self, tmp_path):
+        # A directory where one solution file belongs fails that write only.
+        d = write_tsp_dir(tmp_path, count=2)
+        out = tmp_path / "out"
+        (out / "tsp8_0001.sol.json").mkdir(parents=True)
+        rc = main(["solve", "--problem", "tsp", "--instances", str(d),
+                   "--beam-size", "8", "--out", str(out)])
+        assert rc == 1
+        rows = {r["instance"]: r for r in read_report(out)}
+        assert rows["tsp8_0000"]["error"] == "" and float(rows["tsp8_0000"]["cost"]) > 0
+        assert "tsp8_0001.sol.json" in rows["tsp8_0001"]["error"]
+        assert rows["tsp8_0001"]["cost"] == "" and rows["tsp8_0001"]["solve_time"] != ""
+        assert json.loads((out / "tsp8_0000.sol.json").read_text())["actions"]
+
 
 class TestGenerateCommand:
     def test_count_and_determinism(self, tmp_path, capsys):
@@ -466,3 +484,78 @@ class TestBenchCommand:
                    "--beam-sizes", "4", "--out", str(tmp_path / "bench")])
         assert rc == 2
         assert "no .json instance files" in capsys.readouterr().err
+
+
+# Flag values: small valid ones per flag (None for a switch), and junk tokens
+# every valued flag may draw instead.
+JUNK = ["0", "-1", "nan", "inf", "1e309", "", "abc", "2,x", "cost", "heat-potential", "on,off"]
+PROBLEMS = [k.value for k in ProblemKind]
+POLICIES = [p.value for p in Policy]
+SOLVER_FLAGS = {"--problem": PROBLEMS, "--instances": ["inst", "inst/tsp8_0000.json", "none"],
+                "--heatmap-dir": ["heat"], "--policy": POLICIES, "--invert-cost-heat": None,
+                "--jobs": ["1"], "--out": ["out"]}
+FLAGS = {
+    "generate": {"--problem": PROBLEMS, "--n": ["2", "8"], "--count": ["1", "2"],
+                 "--seed": ["0", "7"], "--max-window": ["50", "1000"], "--out": ["gen"]},
+    "verify": {"--problem": PROBLEMS, "--n": ["2", "5", "8"], "--count": ["1", "2"],
+               "--seed": ["0", "7"], "--max-window": ["50", "1000"],
+               "--beam-size": ["1", "8", "50"], "--policy": POLICIES, "--oracle": ["brute", "dp"]},
+    "solve": {**SOLVER_FLAGS, "--dominance": ["on", "off"], "--beam-size": ["1", "8", "50"],
+              "--threshold": ["0", "0.5"], "--knn": ["1", "3"], "--ref-costs": ["refs.txt"],
+              "--json": None},
+    "bench": {**SOLVER_FLAGS, "--dominance": ["on", "on,off"], "--beam-sizes": ["4", "1,50"],
+              "--thresholds": ["0", "0.01,0.5"], "--knns": ["2"],
+              "--policies": ["cost", "heat,cost-heat"]},
+}
+
+
+# Flags each command needs, drawn more often than the rest.
+REQUIRED = {"generate": {"--problem", "--n", "--out"},
+            "verify": {"--problem", "--n", "--beam-size"},
+            "solve": {"--instances", "--beam-size"}, "bench": {"--instances", "--beam-sizes"}}
+
+
+@st.composite
+def command_lines(draw):
+    """A command and a subset of its flags in any order, each with a valid
+    value or, one time in four, a junk one; none runs more than 1 job, over 8
+    nodes or a beam over 50."""
+    command = draw(st.sampled_from(sorted(FLAGS)))
+    argv = [command]
+    for flag in draw(st.permutations(sorted(FLAGS[command]))):
+        values = FLAGS[command][flag]
+        present = [True] * 7 + [False] if flag in REQUIRED[command] else [False, True]
+        if draw(st.sampled_from(present)):
+            if values is None:
+                argv.append(flag)
+            else:
+                junk = draw(st.sampled_from([False, False, False, True]))
+                argv += [flag, draw(st.sampled_from(JUNK if junk else values))]
+    return argv
+
+
+def cli_files(root):
+    """Instances of every problem (the TSP with a heatmap, listed in refs.txt)
+    and a heatmap directory, under root."""
+    (root / "inst").mkdir()
+    (root / "heat").mkdir()
+    for generate, n, name in ((generate_tsp, 8, "tsp8_0000"), (generate_vrp, 6, "vrp6_0000"),
+                              (generate_tsptw, 6, "tsptw6_0000")):
+        write_instance(generate(n, seed=0), root / "inst" / f"{name}.json")
+    heat = Heatmap(np.full((8, 8), 0.5) - 0.5 * np.eye(8))
+    write_heatmap(heat, root / "heat" / "tsp8_0000.heat")
+    (root / "refs.txt").write_text("tsp8_0000 3.0\n")
+
+
+@settings(max_examples=300, deadline=None)
+@given(argv=command_lines())
+def test_any_flags_exit_0_1_or_2(argv):
+    # Every command line ends in a return code or a usage exit, never a
+    # traceback.  It runs in a fresh directory, which holds every output.
+    with tempfile.TemporaryDirectory() as tmp, contextlib.chdir(tmp):
+        cli_files(Path(tmp))
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    assert code in (0, 1, 2), argv

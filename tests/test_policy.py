@@ -30,8 +30,6 @@ class TestPolicyEnum:
         assert Policy.COST_HEAT.uses_cost_heat
         assert Policy.COST.uses_cost_heat
         assert not Policy.HEAT_POTENTIAL.uses_cost_heat
-        assert Policy.COST.ranks_by_cost
-        assert not Policy.COST_HEAT.ranks_by_cost
 
     def test_values_round_trip(self):
         for p in Policy:

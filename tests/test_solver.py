@@ -1,6 +1,7 @@
 import functools
 import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -60,6 +61,14 @@ def beam_from_rows(ctx, rows):
     return Beam(cost, current, np.array([p.total for p in pot]), visited, None,
                 set_keys(ctx, visited), origin=np.arange(m, dtype=np.int64) * n,
                 regain=visited.astype(float) @ ctx.pot_regain)
+
+
+def with_cost(parent_pos, target, action, state_id, cost, score, extra=None, regain=None):
+    """Candidates whose cost_at is the given per-row cost: row i reads entry i
+    of cost as its step cost, over parents of zero cost."""
+    steps = (np.zeros(parent_pos.max(initial=-1) + 1), np.asarray(cost, dtype=float))
+    return Candidates(parent_pos, target, action, state_id, np.arange(len(parent_pos)),
+                      score, steps, extra, regain)
 
 
 class TestGrouping:
@@ -195,7 +204,7 @@ class TestExpansion:
         cand = prune_capacity_time(expand_tsp(beam, groups, ctx), None, groups)
         # states (visited + target) coincide pairwise: half survive
         assert len(cand) == 2
-        per_target = {int(t): float(c) for t, c in zip(cand.target, cand.cost)}
+        per_target = {int(t): float(c) for t, c in zip(cand.target, cand.cost_at())}
         assert per_target[3] == pytest.approx(5.0 + ctx.costs[1, 3], abs=1e-12)
         assert per_target[4] == pytest.approx(5.0 + ctx.costs[1, 4], abs=1e-12)
 
@@ -322,6 +331,25 @@ def test_vrp_expansion_prunes_like_every_feasible_move(case):
             == sorted(zip(every.parent_pos.tolist(), every.action.tolist())))
 
 
+@settings(max_examples=100, deadline=None)
+@given(generate=st.sampled_from([generate_tsp, generate_vrp, generate_tsptw]),
+       n=st.integers(5, 12), seed=st.integers(0, 999), beam_size=st.integers(1, 50))
+def test_cost_policy_scores_are_exactly_minus_cost(generate, n, seed, beam_size):
+    # Policy.COST scores through the tables with step_score = -step_cost and
+    # no potential, so every beam's score is its negated cost, bit for bit.
+    widths, next_beam = [], solver._next_beam
+
+    def check(beam, cand, ctx):
+        child = next_beam(beam, cand, ctx)
+        for b in (beam, child):
+            assert np.array_equal(b.score, -b.cost)
+        widths.append(child.width)
+        return child
+    with mock.patch.object(solver, "_next_beam", check):
+        solve(generate(n, seed=seed), SolverConfig(beam_size=beam_size, policy=Policy.COST))
+    assert widths
+
+
 class TestExactScore:
     @pytest.mark.parametrize("generate", [generate_tsp, generate_vrp, generate_tsptw])
     def test_selected_score_equals_replay(self, generate, monkeypatch):
@@ -346,7 +374,7 @@ class TestExactScore:
                 for cand in selected:
                     prefixes = [prefixes[p] + (int(a),)
                                 for p, a in zip(cand.parent_pos, cand.action)]
-                    for prefix, score, cost in zip(prefixes, cand.score, cand.cost):
+                    for prefix, score, cost in zip(prefixes, cand.score, cand.cost_at()):
                         rows += 1
                         sim = replay(inst, prefix, tables=tables[0])
                         if score != sim.score:
@@ -473,7 +501,8 @@ class TestNeighbourScan:
                            SolverConfig(beam_size=4, policy=Policy.COST, threshold=0.0))
         ctx.adj = adj
         m = len(current)
-        beam = Beam(np.zeros(m), current, np.zeros(m), visited, None, set_keys(ctx, visited))
+        beam = Beam(np.zeros(m), current, np.zeros(m), visited, None, set_keys(ctx, visited),
+                    origin=np.arange(m) * n, regain=np.zeros((m, n)))
         cand = expand_tsp(beam, row_groups(beam), ctx)
         rows, targets = np.nonzero(adj[beam.current] & ~beam.visited)
         assert np.array_equal(cand.parent_pos, rows)
@@ -519,7 +548,7 @@ def scan_beams(draw):
 
 class TestLateCost:
     """Expansion leaves the cost to be built for the rows read; that cost, and
-    what prune and select make of it, must equal an eagerly built one."""
+    what prune and select make of it, must equal one given explicitly per row."""
 
     # problem -> (expander, dominance objective, whether pruning takes the groups)
     PROBLEMS = {ProblemKind.TSP: (expand_tsp, lambda c: None, True),
@@ -536,13 +565,12 @@ class TestLateCost:
         cand = expand(beam, groups, ctx)
         ppos = cand.parent_pos
         want = beam.cost[ppos] + ctx.step_cost[beam.current[ppos], cand.action]
-        assert cand.cost is None
         rows = np.array(rnd.sample(range(len(cand)), rnd.randint(0, len(cand))), dtype=np.int64)
         assert np.array_equal(cand.cost_at(rows), want[rows])
-        assert np.array_equal(cand.take(rows).cost, want[rows])
+        assert np.array_equal(cand.take(rows).cost_at(), want[rows])
         assert np.array_equal(cand.cost_at(), want)
-        eager = Candidates(ppos, cand.target, cand.action, cand.state_id, want, cand.score,
-                           cand.extra, cand.regain)
+        eager = with_cost(ppos, cand.target, cand.action, cand.state_id, want, cand.score,
+                          cand.extra, cand.regain)
         obj, pgroups = objective(cand), groups if by_group else None
         assert_same_candidates(
             select_top_b(prune_capacity_time(cand, obj, pgroups, beam_size), beam_size),
@@ -570,9 +598,8 @@ class TestSelection:
         m = len(scores)
         z = np.zeros(m)
         ids = np.arange(m, dtype=np.int64)
-        return Candidates(ids, ids.copy(), ids.copy(), ids.copy(),
-                          np.array(costs if costs is not None else z, dtype=float),
-                          np.array(scores, dtype=float))
+        return with_cost(ids, ids.copy(), ids.copy(), ids.copy(),
+                         costs if costs is not None else z, np.array(scores, dtype=float))
 
     def test_top_k_by_score(self):
         out = select_top_b(self.make([3.0, 1.0, 2.0]), 2)
@@ -584,12 +611,12 @@ class TestSelection:
 
     def test_equal_scores_lower_cost_first(self):
         out = select_top_b(self.make([1.0, 1.0, 1.0], costs=[5.0, 3.0, 4.0]), 3)
-        assert out.cost.tolist() == [3.0, 4.0, 5.0]
+        assert out.cost_at().tolist() == [3.0, 4.0, 5.0]
 
     def test_boundary_ties_resolved_deterministically(self):
         out = select_top_b(self.make([2.0, 1.0, 1.0, 1.0], costs=[0., 7., 5., 6.]), 2)
         assert out.score.tolist() == [2.0, 1.0]
-        assert out.cost.tolist() == [0.0, 5.0]
+        assert out.cost_at().tolist() == [0.0, 5.0]
 
     @settings(max_examples=400, deadline=None)
     @given(selection_rows())
@@ -598,7 +625,7 @@ class TestSelection:
     def test_matches_five_key_lexsort(self, rows):
         score, cost, slot, action, beam_size = rows
         target = action % 4
-        cand = Candidates(slot, target, action, target.copy(), cost, score)
+        cand = with_cost(slot, target, action, target.copy(), cost, score)
         want = lexsort_top_b(score, cost, target, slot, action, beam_size)
         out = select_top_b(cand, beam_size)
         assert np.array_equal(out.parent_pos, slot[want])
@@ -623,16 +650,19 @@ def pruning_candidates(draw):
     ppos = np.array([p for p, _ in pairs], dtype=np.int64)
     action = np.array([a for _, a in pairs], dtype=np.int64)
     rows = np.array(draw(st.permutations(range(groups.size))), dtype=np.int64)
-    cand = Candidates(rows[ppos], action % n, action, groups[ppos] * n + action % n,
-                      grid(0.0, 0.5, 1.0), grid(-1.0, 0.0, 0.25, 1.0), grid(0.0, 1.0, 2.0))
+    cand = with_cost(rows[ppos], action % n, action, groups[ppos] * n + action % n,
+                     grid(0.0, 0.5, 1.0), grid(-1.0, 0.0, 0.25, 1.0), grid(0.0, 1.0, 2.0))
     row_group = np.empty_like(groups)
     row_group[rows] = groups
     return cand, row_group
 
 
 def assert_same_candidates(got, want):
+    """Equal per-row fields and cost; the flat index and steps may differ."""
     for name, value in vars(want).items():
-        np.testing.assert_array_equal(getattr(got, name), value, err_msg=name)
+        if name not in ("flat", "steps"):
+            np.testing.assert_array_equal(getattr(got, name), value, err_msg=name)
+    np.testing.assert_array_equal(got.cost_at(), want.cost_at(), err_msg="cost")
 
 
 def prune_both(cand, groups, beam_size=None):
@@ -670,7 +700,7 @@ class TestScoreCut:
         cost = np.concatenate(([5.0, 5.0, 1.0], np.full(filler, 5.0), np.ones(singletons)))
         extra = np.concatenate(([0.0, 0.0, 1.0], np.zeros(filler + singletons)))
         ids = np.arange(state.size, dtype=np.int64)
-        return Candidates(ids, state.copy(), ids.copy(), state, cost, score, extra)
+        return with_cost(ids, state.copy(), ids.copy(), state, cost, score, extra)
 
     @pytest.mark.parametrize("singletons, filler, kernel_sizes", [
         (20, 0, [3, 9]),    # k = 2 marks state 0 alone; k = 8 adds six states

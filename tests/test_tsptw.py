@@ -22,7 +22,6 @@ def tsptw_context(coords, time_windows, adj=None):
     tables = build_policy_tables(heat, costs, inst.kind)
     if adj is None:
         adj = ~np.eye(n, dtype=bool)
-    # Ranked by cost, so the hand-built beams need no regain table.
     return _Context(inst, costs, adj, tables, SolverConfig(beam_size=8, policy=Policy.COST))
 
 
@@ -36,7 +35,8 @@ def tsptw_beam(ctx, rows):
     current = np.array([cur for _, cur, _ in rows], dtype=np.int64)
     time = np.array([t for _, _, t in rows], dtype=float)
     zeros = np.zeros(m)
-    return Beam(zeros, current, zeros, visited, time, (ctx.set_key * visited).sum(axis=1))
+    return Beam(zeros, current, zeros, visited, time, (ctx.set_key * visited).sum(axis=1),
+                origin=np.arange(m) * n, regain=np.zeros((m, n)))
 
 
 def expand_and_oracle(ctx, beam):
