@@ -13,6 +13,8 @@ from its prune layer only.
 
 from __future__ import annotations
 
+from collections.abc import Callable
+
 import numpy as np
 
 # Folded keys stay below this bound, so key * k + rank never overflows int64.
@@ -29,16 +31,16 @@ def _dense_rank(x: np.ndarray) -> tuple[np.ndarray, int]:
     return rank, int(step[-1]) + 1
 
 
-def argsort_ties(key: np.ndarray, tie_keys: tuple[np.ndarray, ...]) -> np.ndarray:
-    """Row order by (key, *reversed(tie_keys), row index): one argsort, then a
-    lexsort of only the rows whose keys tie exactly, in row order."""
+def argsort_ties(key: np.ndarray, tie_keys: Callable[..., tuple[np.ndarray, ...]]) -> np.ndarray:
+    """Row order by (key, *reversed(tie_keys(rows)), row index): one argsort, then a
+    lexsort of only the rows whose keys tie exactly, handed to tie_keys in row order."""
     order = np.argsort(key)
     ks = key[order]
     eq = np.concatenate(([False], ks[1:] == ks[:-1], [False]))
     tied = np.flatnonzero(eq[1:] | eq[:-1])   # positions equal to a neighbour
     if tied.size:
         rows = np.sort(order[tied])
-        order[tied] = rows[np.lexsort(tuple(t[rows] for t in tie_keys) + (key[rows],))]
+        order[tied] = rows[np.lexsort(tuple(tie_keys(rows)) + (key[rows],))]
     return order
 
 
@@ -54,7 +56,7 @@ def _order(state_id: np.ndarray, majors: tuple[np.ndarray, ...],
             key = _dense_rank(key)[0]
         key = key * k + rank
         ranks.append(rank)
-    return argsort_ties(key, tie_keys), ranks
+    return argsort_ties(key, lambda rows: tuple(t[rows] for t in tie_keys)), ranks
 
 
 def prune_pareto_front(

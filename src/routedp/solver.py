@@ -197,14 +197,14 @@ class _Context:
         order = np.argsort(~adj, axis=1, kind="stable")
         return np.where(np.take_along_axis(adj, order, axis=1), order, DEPOT), adj.sum(axis=1)
 
-    # TSPTW lookahead tables: nodes in deadline order, slack_to[j, v] = u_j - c_vj.
+    # TSPTW lookahead tables: nodes in deadline order, slack_to[j, v] = u_j - c_vj (read flat).
     @cached_property
     def by_deadline(self) -> np.ndarray:
         return np.argsort(self.instance.time_windows[:, 1], kind="stable")
 
     @cached_property
     def slack_to(self) -> np.ndarray:
-        return self.instance.time_windows[:, 1:] - self.costs.T
+        return np.ascontiguousarray(self.instance.time_windows[:, 1:] - self.costs.T)
 
 
 def _build_candidates(ctx: _Context, beam: Beam, groups: np.ndarray, ppos: np.ndarray,
@@ -275,8 +275,6 @@ def expand_vrp(beam: Beam, groups: np.ndarray, ctx: _Context) -> Candidates:
 
 def expand_tsptw(beam: Beam, groups: np.ndarray, ctx: _Context) -> Candidates:
     lo, hi = ctx.instance.time_windows.T
-    arrive = ctx.costs[beam.current]   # one B x n array, summed in place
-    np.maximum(np.add(arrive, beam.extra[:, None], out=arrive), lo, out=arrive)
     # Arriving at v must keep every unvisited node reachable by its deadline:
     # arrive <= latest[g, v] = min_{j in U_g} (u_j - c_vj), where j = v gives v's
     # own deadline (c_vv = 0).  As c >= 0 and rounding is monotone, the earliest
@@ -288,12 +286,21 @@ def expand_tsptw(beam: Beam, groups: np.ndarray, ctx: _Context) -> Candidates:
     cells = np.flatnonzero(unvisited[:, ctx.by_deadline]).reshape(len(unvisited), -1)
     nodes = ctx.by_deadline[cells - np.arange(0, unvisited.size, ctx.n)[:, None]]
     prefix = (hi[nodes] - ctx.costs.max() <= hi[nodes[:, :1]]).sum(axis=1).max(initial=0)
-    latest = np.full(unvisited.shape, np.inf)
+    # The fold takes u(1)'s node j1, so latest[g, v] <= fl(u(1) - c_v,j1) <= u(1),
+    # and arrive = max(fl(t + c), l_v) >= l_v: only v released by u(1) can pass.
+    # Test the deadline-order prefix of U_g holding them (all if u(1) = inf), in node order.
+    width = ((lo[nodes] <= hi[nodes[:, :1]]) * np.arange(1, nodes.shape[1] + 1)).max(initial=0)
+    cols = np.sort(nodes[:, :width], axis=1)
+    latest = np.full(cols.shape, np.inf)
     for j in nodes[:, :prefix].T:
-        np.minimum(latest, ctx.slack_to[j], out=latest)
-    flat = np.flatnonzero(ctx.adj[beam.current] & ~beam.visited & (arrive <= latest[groups]))
-    ppos, tgt = np.divmod(flat, ctx.n)
-    return _build_candidates(ctx, beam, groups, ppos, tgt, tgt, extra=arrive.ravel()[flat])
+        np.minimum(latest, ctx.slack_to.ravel()[(j * ctx.n)[:, None] + cols], out=latest)
+    tgt = cols[groups]   # flat (node, target) cells, as 2-D fancy reads took twice as long
+    cell = beam.current[:, None] * ctx.n + tgt
+    arrive = ctx.costs.ravel()[cell]   # one B x width array, summed in place
+    np.maximum(np.add(arrive, beam.extra[:, None], out=arrive), lo[tgt], out=arrive)
+    ok = np.flatnonzero(ctx.adj.ravel()[cell] & (arrive <= latest[groups]))
+    tgt = tgt.ravel()[ok]
+    return _build_candidates(ctx, beam, groups, ok // width, tgt, tgt, extra=arrive.ravel()[ok])
 
 
 def prune_capacity_time(cand: Candidates, objective: np.ndarray | None,
@@ -354,11 +361,14 @@ def select_top_b(cand: Candidates, beam_size: int) -> Candidates:
     sel = np.arange(len(cand))
     if len(cand) > beam_size:
         sel = np.flatnonzero(neg <= np.partition(neg, beam_size - 1)[beam_size - 1])
-    # (target, parent row, action) as one name: below 2**63 while n * (max p + 1) * (max a + 1) is.
-    p, a = cand.parent_pos[sel], cand.action[sel]
-    name = (cand.target[sel] * (p.max(initial=0) + 1) + p) * (a.max(initial=0) + 1) + a
-    order = argsort_ties(neg[sel], (name, cand.cost_at(sel)))
-    return cand.take(sel[order[:beam_size]])
+
+    def tie_keys(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:   # of tied rows only
+        # One (target, parent row, action) name: < 2**63 while n * (max p + 1) * (max a + 1) is.
+        rows = sel[rows]
+        p, a = cand.parent_pos[rows], cand.action[rows]
+        name = (cand.target[rows] * (p.max() + 1) + p) * (a.max() + 1) + a
+        return name, cand.cost_at(rows)
+    return cand.take(sel[argsort_ties(neg[sel], tie_keys)[:beam_size]])
 
 
 def backtrack(trace: list[tuple[np.ndarray, np.ndarray]], winning_slot: int) -> list[int]:

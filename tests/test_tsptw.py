@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from helpers import naive_tsptw_kept
 from routedp import Heatmap, Policy, ProblemKind, SolverConfig, exact_dp, generate_tsptw, solve
+from routedp import solver
 from routedp.instances import Instance
 from routedp.policy import build_policy_tables
 from routedp.solver import Beam, _Context, expand_tsptw, group_by_visited
@@ -39,15 +40,19 @@ def tsptw_beam(ctx, rows):
                 origin=np.arange(m) * n, regain=np.zeros((m, n)))
 
 
-def expand_and_oracle(ctx, beam):
-    order, ordinals = group_by_visited(beam)
-    groups = np.empty_like(ordinals)
-    groups[order] = ordinals
-    cand = expand_tsptw(beam, groups, ctx)
+def kept_and_oracle(cand, ctx, beam):
+    """The (row, target, arrival) list of cand and that of the per-row oracle."""
     got = list(zip(cand.parent_pos.tolist(), cand.target.tolist(), cand.extra.tolist()))
     want = naive_tsptw_kept(beam.visited, beam.current, beam.extra, ctx.adj, ctx.costs,
                             ctx.instance.time_windows)
     return got, want
+
+
+def expand_and_oracle(ctx, beam):
+    order, ordinals = group_by_visited(beam)
+    groups = np.empty_like(ordinals)
+    groups[order] = ordinals
+    return kept_and_oracle(expand_tsptw(beam, groups, ctx), ctx, beam)
 
 
 class TestLookahead:
@@ -84,6 +89,18 @@ class TestLookahead:
         got, want = expand_and_oracle(ctx, none_left)
         assert got == want == []
 
+    def test_release_after_the_earliest_deadline_is_never_a_candidate(self):
+        # C opens at 20, after A's deadline 12, and could still meet its own
+        # deadline; arriving there strands A, until A is visited.
+        tw = [[0.0, math.inf], [0.0, 12.0], [0.0, 1000.0], [20.0, 1000.0]]
+        ctx = tsptw_context(self.COORDS, tw)
+        assert ctx.adj[0, 3] and ctx.adj[1, 3]
+        got, want = expand_and_oracle(ctx, tsptw_beam(ctx, [((), 0, 0.0)]))
+        assert got == want == [(0, 1, 10.0)]
+        got, want = expand_and_oracle(ctx, tsptw_beam(ctx, [((1,), 1, 10.0)]))
+        assert got == want
+        assert 3 in [t for _, t, _ in got]
+
     def test_infinite_deadlines_and_coincident_points(self):
         # Customers 1-3 share a point 5 from the depot, so costs among them are 0.
         coords = [[0.0, 0.0], [3.0, 4.0], [3.0, 4.0], [3.0, 4.0]]
@@ -94,9 +111,10 @@ class TestLookahead:
 
 
 @st.composite
-def tsptw_beams(draw):
+def tsptw_beams(draw, release_max=40):
     """A random TSPTW instance, adjacency and beam in which every row has
-    visited the same number of customers, as at one solver step."""
+    visited the same number of customers, as at one solver step.  Release
+    times lie in [0, release_max], capped by the node's deadline."""
     n = draw(st.integers(2, 12))
     grid = st.integers(0, 3)   # a coarse grid: coincident points and zero costs
     coords = np.array(draw(st.lists(st.tuples(grid, grid), min_size=n, max_size=n)),
@@ -106,7 +124,7 @@ def tsptw_beams(draw):
         hi = np.full(n, draw(deadline))
     else:
         hi = np.array(draw(st.lists(deadline, min_size=n, max_size=n)))
-    lo = np.minimum(hi, draw(st.lists(st.integers(0, 40), min_size=n, max_size=n)))
+    lo = np.minimum(hi, draw(st.lists(st.integers(0, release_max), min_size=n, max_size=n)))
     lo[0] = 0.0
     if draw(st.booleans()):
         adj = ~np.eye(n, dtype=bool)
@@ -131,6 +149,36 @@ def test_lookahead_matches_per_row_oracle(case):
     ctx, beam = case
     got, want = expand_and_oracle(ctx, beam)
     assert got == want
+
+
+@settings(max_examples=400, deadline=None)
+@given(tsptw_beams(release_max=90))
+def test_lookahead_with_late_releases_matches_per_row_oracle(case):
+    # Releases over the whole deadline range often fall after a group's
+    # earliest deadline, so the expansion skips those nodes' columns.
+    ctx, beam = case
+    got, want = expand_and_oracle(ctx, beam)
+    assert got == want
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("n, beam_size", [(15, 50), (22, 100), (30, 200)])
+def test_solver_beams_match_per_row_oracle(monkeypatch, n, beam_size, seed):
+    # Every step of a real solve, on generated windows, against the oracle.
+    late = []
+
+    def spy(beam, groups, ctx):
+        cand = expand_tsptw(beam, groups, ctx)
+        got, want = kept_and_oracle(cand, ctx, beam)
+        assert got == want
+        lo, hi = ctx.instance.time_windows.T
+        late.append(any((lo[~v] > hi[~v].min()).any() for v in beam.visited))
+        return cand
+
+    monkeypatch.setattr(solver, "expand_tsptw", spy)
+    res = solve(generate_tsptw(n, seed=seed), SolverConfig(beam_size=beam_size))
+    assert res.found and len(late) == n - 1
+    assert any(late)   # some steps hold nodes released after the earliest deadline
 
 
 @settings(max_examples=60, deadline=None)
