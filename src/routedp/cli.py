@@ -162,9 +162,9 @@ def _solve_one(args: tuple) -> ReportRow:
                    "cost": sol.cost}
             (Path(out_dir) / f"{instance_id}.sol.json").write_text(
                 json.dumps(out), encoding="utf-8")
-    except (OSError, ValueError, RuntimeError) as exc:   # one failed file, not the batch
-        return ReportRow(instance_id, None, False, config.beam_size,
-                         config.policy.value, label, solve_time, hm_time, error=str(exc))
+    except (OSError, ValueError, RuntimeError, MemoryError) as exc:   # one instance, not the batch
+        return ReportRow(instance_id, None, False, config.beam_size, config.policy.value,
+                         label, solve_time, hm_time, error=str(exc) or type(exc).__name__)
     if not result.found:
         return ReportRow(instance_id, None, False, config.beam_size,
                          config.policy.value, label, solve_time, hm_time,

@@ -1,21 +1,22 @@
 """Beam-restricted dynamic programming over routing state spaces.
 
-One solve runs single-threaded: the beam for step t+1 is built from the
-top-B scoring non-dominated expansions of the beam at step t.  A step
-groups the beam's rows by visited set (by a set key each row carries from
-its parent; rows never move), expands every row along the sparse graph
-(feasibility only), prunes dominated candidates in the DP states that can
-reach the top B, selects the top B and builds the next beam; a candidate's
-cost and score are its parent's plus entries of per-solve (node, action)
-tables, and the score also adds a regain row per visited-set group, carried
-from step to step.  Per-step (parent row, action) records go to a trace from
-which the winning solution is backtracked and independently re-simulated.
-Rows are picked with np.compress and np.flatnonzero, not a boolean mask or
-2-D np.nonzero, which took 3-4x and 2.4x as long on the step's arrays.
+A single-threaded solve builds the beam for step t+1 from the top-B scoring
+non-dominated expansions of the beam at step t.  A step groups the beam's rows
+by visited set (by a set key each row carries from its parent; rows never
+move), lists every feasible move along the sparse graph, prunes dominated
+candidates in the DP states that can reach the top B, selects the top B and
+builds the next beam.  A candidate's cost and score are its parent's plus
+entries of per-solve (node, action) tables; the score adds a regain row per
+visited-set group, carried from step to step.  VRP scores its whole B x 2n
+move grid and builds other fields only for the rows read.  Per-step (parent
+row, action) records go to a trace, from which the winner is backtracked and
+re-simulated.  Rows are picked with np.compress and np.flatnonzero, not a
+boolean mask or 2-D np.nonzero, which took 3-4x and 2.4x as long per step.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass, replace
 from functools import cached_property
 from numbers import Integral, Real
@@ -129,10 +130,15 @@ class Candidates:
         parent_cost, step_cost = self.steps
         return parent_cost[self.parent_pos[rows]] + step_cost[self.flat[rows]]
 
-    def take(self, idx: np.ndarray) -> Candidates:
+    def take(self, idx: np.ndarray | slice) -> Candidates:
         # Every per-row array indexed by idx; all rows share the steps and one regain table.
         return replace(self, **{k: v[idx] for k, v in vars(self).items()
                                 if v is not None and k not in ("steps", "regain")})
+
+    def in_states_of(self, mask: np.ndarray) -> np.ndarray:   # the rows in the masked rows' states
+        hot = np.zeros(self.state_id.max() + 1, dtype=bool)
+        hot[np.compress(mask, self.state_id)] = True
+        return np.flatnonzero(hot[self.state_id])
 
     def __len__(self) -> int:
         return self.parent_pos.shape[0]
@@ -207,19 +213,51 @@ class _Context:
         return np.ascontiguousarray(self.instance.time_windows[:, 1:] - self.costs.T)
 
 
+@dataclass
+class GridCandidates:
+    """expand_vrp's scored feasible cells of its B x 2n (parent row, action) grid, row-major.
+    take builds the other fields for the rows read; reading one here, for every row."""
+
+    cell: np.ndarray      # parent row * 2n + action
+    score: np.ndarray
+    beam: Beam
+    groups: np.ndarray
+    ctx: _Context
+    regain: np.ndarray    # table of the parents' groups (_regain_table)
+
+    def take(self, idx: np.ndarray | slice) -> Candidates:
+        ctx, n = self.ctx, self.ctx.n
+        ppos, col = np.divmod(self.cell[idx], 2 * n)
+        cap = np.where(col >= n, float(ctx.instance.capacity), self.beam.extra[ppos])
+        return _build_candidates(ctx, self.beam, self.groups, ppos, col, col % n,
+                                 cap - ctx.instance.demands[col % n], self.score[idx], self.regain)
+
+    def in_states_of(self, mask: np.ndarray) -> np.ndarray:   # hot[group, target], read per half
+        hot = np.zeros((self.groups.max() + 1, self.ctx.n), dtype=bool)
+        hot.ravel()[self.take(np.flatnonzero(mask)).state_id] = True
+        return np.flatnonzero(np.tile(hot[self.groups], 2).ravel()[self.cell])
+
+    def __getattr__(self, name: str):   # another field of Candidates (no dunder), every row
+        return getattr(object() if name.startswith("__") else self.take(slice(None)), name)
+
+    def __len__(self) -> int:
+        return self.cell.shape[0]
+
+
 def _build_candidates(ctx: _Context, beam: Beam, groups: np.ndarray, ppos: np.ndarray,
-                      col: np.ndarray, tgt: np.ndarray,
-                      extra: np.ndarray | None = None) -> Candidates:
+                      col: np.ndarray, tgt: np.ndarray, extra: np.ndarray | None = None,
+                      score: np.ndarray | None = None,
+                      table: np.ndarray | None = None) -> Candidates:
     """Candidates for the feasible actions col[k], moves to tgt[k] = col[k] % n,
     of parent rows ppos[k], with the expander's extra (remaining capacity or
     time).  Cost and score add the (node, action) entries of ctx.step_cost and
-    ctx.step_score, both read at one flat index; the score also adds the regain
-    of the parent's group.  The cost is built late, for the rows read."""
+    ctx.step_score at one flat index; unless given (with its regain table), the
+    score adds the parent group's regain.  The cost is built late, when read."""
     flat = beam.current[ppos] * ctx.step_cost.shape[1] + col
     state_id = groups[ppos] * np.int64(ctx.n) + tgt
-    # Row g of the table belongs to group g, so its entry (g, t) sits at state_id.
-    table = _regain_table(ctx, beam, groups)
-    score = beam.score[ppos] + ctx.step_score.ravel()[flat] + table.ravel()[state_id]
+    if score is None:   # row g of the table is group g's, so its entry (g, t) sits at state_id
+        table = _regain_table(ctx, beam, groups)
+        score = beam.score[ppos] + ctx.step_score.ravel()[flat] + table.ravel()[state_id]
     return Candidates(ppos, tgt, col, state_id, flat, score,
                       (beam.cost, ctx.step_cost.ravel()), extra, table)
 
@@ -251,10 +289,10 @@ def expand_tsp(beam: Beam, groups: np.ndarray, ctx: _Context) -> Candidates:
     return _build_candidates(ctx, beam, groups, ppos, tgt, tgt)
 
 
-def expand_vrp(beam: Beam, groups: np.ndarray, ctx: _Context) -> Candidates:
+def expand_vrp(beam: Beam, groups: np.ndarray, ctx: _Context) -> GridCandidates:
     """Every feasible move: direct to customer j in column j, via the depot in
-    n + j from each row that can return to it.  Dominance is left to the
-    prune layer."""
+    n + j from each row that can return to it, scored on the whole grid by row
+    gathers (summed as _build_candidates sums).  Dominance is left to prune."""
     n = ctx.n
     unvisited = ~beam.visited
     unvisited[:, DEPOT] = False
@@ -266,11 +304,13 @@ def expand_vrp(beam: Beam, groups: np.ndarray, ctx: _Context) -> Candidates:
     feas[:, :n] = ctx.adj[beam.current] & unvisited & fits & away
     has_ret = (beam.current == DEPOT) | ctx.adj[beam.current, DEPOT]
     feas[has_ret, n:] = ctx.adj[DEPOT] & unvisited[has_ret]
-    ppos, col = np.divmod(np.flatnonzero(feas), 2 * n)
-    tgt = col % n
-    remcap = np.where(col >= n, float(ctx.instance.capacity), beam.extra[ppos])
-    return _build_candidates(ctx, beam, groups, ppos, col, tgt,
-                             extra=remcap - ctx.instance.demands[tgt])
+    score = ctx.step_score[beam.current]   # in place: a 3-D broadcast sum took 4x as long
+    score += beam.score[:, None]
+    table = _regain_table(ctx, beam, groups)
+    halves = score.reshape(-1, 2, n)   # a view; each half adds the group's regain row
+    halves += table[groups][:, None]
+    cell = np.flatnonzero(feas)
+    return GridCandidates(cell, score.ravel()[cell], beam, groups, ctx, table)
 
 
 def expand_tsptw(beam: Beam, groups: np.ndarray, ctx: _Context) -> Candidates:
@@ -303,16 +343,16 @@ def expand_tsptw(beam: Beam, groups: np.ndarray, ctx: _Context) -> Candidates:
     return _build_candidates(ctx, beam, groups, ok // width, tgt, tgt, extra=arrive.ravel()[ok])
 
 
-def prune_capacity_time(cand: Candidates, objective: np.ndarray | None,
+def prune_capacity_time(cand: Candidates | GridCandidates, objective: np.ndarray | Callable | None,
                         groups: np.ndarray | None = None,
-                        beam_size: int | None = None) -> Candidates:
+                        beam_size: int | None = None) -> Candidates | GridCandidates:
     """Exact Pareto front per DP state over cost (min) and objective (max).
 
-    For TSP pass no objective (one minimum-cost candidate per state) and
-    for TSPTW negated time, each with the parent groups.  For VRP pass the
-    remaining capacity and no groups: direct and via-depot moves from one
-    parent share states.  Exact ties go to via-depot moves first, then the
-    higher score, then the lower parent row.
+    The objective is per row, or a function of the kernel rows' Candidates:
+    none for TSP (one minimum-cost candidate per state), negated time for TSPTW,
+    each with the parent groups; remaining capacity and no groups for VRP, whose
+    direct and via-depot moves from one parent share states.  Exact ties go to
+    via-depot moves first, then the higher score, then the lower parent row.
 
     Two candidates share a DP state only if their parents share a visited
     set, so given the groups, rows from singleton groups survive without
@@ -329,9 +369,7 @@ def prune_capacity_time(cand: Candidates, objective: np.ndarray | None,
         rows = slice(None)   # the rows this try prunes: every row, or the marked ones
         if 2 * k < len(cand):
             bound = np.partition(cand.score, -k)[-k]
-            hot = np.zeros(cand.state_id.max() + 1, dtype=bool)
-            hot[np.compress(cand.score >= bound, cand.state_id)] = True
-            rows = np.flatnonzero(hot[cand.state_id])
+            rows = cand.in_states_of(cand.score >= bound)
             if 2 * rows.size > len(cand):
                 rows = slice(None)
         every = isinstance(rows, slice)
@@ -340,16 +378,18 @@ def prune_capacity_time(cand: Candidates, objective: np.ndarray | None,
         j = slice(None) if shared is None else np.flatnonzero(shared[cand.parent_pos[rows]])
         i = j if every else rows[j]
         if shared is None or j.size:   # tie keys minor to major; a via move's action is higher
-            keep[j] = prune_pareto_front(
-                cand.state_id[i], cand.cost_at(i), None if objective is None else objective[i],
-                tie_keys=(cand.parent_pos[i], -cand.score[i], -cand.action[i]))
+            sub = cand.take(i)
+            obj = objective(sub) if callable(objective) else objective if objective is None \
+                else objective[i]
+            keep[j] = prune_pareto_front(sub.state_id, sub.cost_at(), obj,
+                                         tie_keys=(sub.parent_pos, -sub.score, -sub.action))
         kept = np.flatnonzero(keep) if every else np.compress(keep, rows)
         if every or np.count_nonzero(cand.score[kept] >= bound) >= beam_size:
             return cand if kept.size == len(cand) else cand.take(kept)
         k *= 4
 
 
-def select_top_b(cand: Candidates, beam_size: int) -> Candidates:
+def select_top_b(cand: Candidates | GridCandidates, beam_size: int) -> Candidates:
     """Best beam_size candidates under the global total order.
 
     The order is score desc, cost asc, current (target) asc, parent row asc,
@@ -364,10 +404,10 @@ def select_top_b(cand: Candidates, beam_size: int) -> Candidates:
 
     def tie_keys(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:   # of tied rows only
         # One (target, parent row, action) name: < 2**63 while n * (max p + 1) * (max a + 1) is.
-        rows = sel[rows]
-        p, a = cand.parent_pos[rows], cand.action[rows]
-        name = (cand.target[rows] * (p.max() + 1) + p) * (a.max() + 1) + a
-        return name, cand.cost_at(rows)
+        tied = cand.take(sel[rows])
+        p, a = tied.parent_pos, tied.action
+        name = (tied.target * (p.max() + 1) + p) * (a.max() + 1) + a
+        return name, tied.cost_at()
     return cand.take(sel[argsort_ties(neg[sel], tie_keys)[:beam_size]])
 
 
@@ -462,7 +502,7 @@ def solve(
     # whether pruning may skip singleton groups (see prune_capacity_time).
     # Looked up per call, so that wrappers installed on this module are seen.
     expand, objective, by_group = {
-        ProblemKind.TSP: (expand_tsp, lambda cand: None, True),
+        ProblemKind.TSP: (expand_tsp, None, True),
         ProblemKind.VRP: (expand_vrp, lambda cand: cand.extra, False),
         ProblemKind.TSPTW: (expand_tsptw, lambda cand: -cand.extra, True)}[kind]
 
@@ -482,7 +522,7 @@ def solve(
                                max_beam_width=max_width)
 
         if config.dominance_enabled:
-            cand = prune_capacity_time(cand, objective(cand), groups if by_group else None,
+            cand = prune_capacity_time(cand, objective, groups if by_group else None,
                                        config.beam_size)
 
         cand = select_top_b(cand, config.beam_size)

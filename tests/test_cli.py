@@ -307,6 +307,30 @@ class TestSolveCommand:
         assert errors == {"tsp8_0000": "", "tsp8_0001": "internal error: injected",
                           "tsp8_0002": ""}
 
+    @pytest.mark.parametrize("message", ["Unable to allocate 7.45 GiB for an array", ""])
+    def test_out_of_memory_is_an_error_row(self, tmp_path, monkeypatch, message):
+        # An instance whose beam cannot be allocated fails alone; the other is
+        # solved and the report is written.
+        d = write_tsp_dir(tmp_path, count=2)
+        real_solve = cli.solve
+        big = read_instance(d / "tsp8_0000.json")
+
+        def solve_or_run_out(instance, config, heatmap=None):
+            if np.array_equal(instance.coords, big.coords):
+                raise MemoryError(message)
+            return real_solve(instance, config, heatmap=heatmap)
+
+        monkeypatch.setattr(cli, "solve", solve_or_run_out)
+        out = tmp_path / "out"
+        rc = main(["solve", "--problem", "tsp", "--instances", str(d),
+                   "--beam-size", "8", "--out", str(out)])
+        assert rc == 1
+        rows = {r["instance"]: r for r in read_report(out)}
+        assert rows["tsp8_0000"]["error"] == (message or "MemoryError")
+        assert rows["tsp8_0000"]["cost"] == ""
+        assert rows["tsp8_0001"]["error"] == "" and float(rows["tsp8_0001"]["cost"]) > 0
+        assert json.loads((out / "tsp8_0001.sol.json").read_text())["actions"]
+
     def test_unwritable_solution_file_is_an_error_row(self, tmp_path):
         # A directory where one solution file belongs fails that write only.
         d = write_tsp_dir(tmp_path, count=2)

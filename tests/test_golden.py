@@ -38,6 +38,18 @@ COST_GOLDEN = {
     ("tsptw", 2): [14, 3, 5, 18, 7, 6, 12, 15, 4, 10, 9, 17, 11, 8, 16, 2, 13, 19, 1, 0],
 }
 
+NO_DOMINANCE_GOLDEN = {
+    ("tsp", 0): [13, 12, 2, 7, 4, 6, 16, 19, 10, 11, 1, 15, 18, 5, 9, 8, 17, 3, 14, 0],
+    ("tsp", 1): [19, 6, 4, 16, 9, 12, 18, 5, 14, 3, 1, 13, 11, 15, 17, 8, 10, 2, 7, 0],
+    ("tsp", 2): [11, 10, 8, 4, 1, 13, 3, 18, 14, 19, 15, 17, 12, 9, 2, 5, 16, 6, 7, 0],
+    ("vrp", 0): [37, 13, 7, 16, 6, 4, 5, 3, 31, 1, 15, 10, 2, 12, 39, 9, 8, 18, 14, 0],
+    ("vrp", 1): [33, 14, 19, 16, 4, 17, 7, 22, 12, 8, 5, 18, 31, 15, 1, 3, 26, 9, 10, 0],
+    ("vrp", 2): [24, 1, 6, 3, 2, 14, 19, 15, 17, 36, 9, 11, 10, 8, 7, 25, 12, 18, 13, 0],
+    ("tsptw", 0): [16, 7, 2, 9, 8, 1, 11, 5, 3, 6, 17, 10, 15, 19, 12, 4, 13, 18, 14, 0],
+    ("tsptw", 1): [16, 4, 17, 6, 15, 14, 3, 9, 12, 7, 1, 19, 11, 18, 13, 10, 5, 8, 2, 0],
+    ("tsptw", 2): [2, 3, 6, 5, 11, 18, 15, 9, 8, 17, 12, 10, 7, 14, 13, 1, 19, 16, 4, 0],
+}
+
 
 @pytest.mark.parametrize("problem,seed", sorted(GOLDEN))
 def test_actions_unchanged(problem, seed):
@@ -52,3 +64,11 @@ def test_cost_policy_actions_unchanged(problem, seed):
     result = solve(GENERATORS[problem](20, seed=seed), config)
     assert result.found
     assert list(result.solution.actions) == COST_GOLDEN[problem, seed]
+
+
+@pytest.mark.parametrize("problem,seed", sorted(NO_DOMINANCE_GOLDEN))
+def test_no_dominance_actions_unchanged(problem, seed):
+    config = SolverConfig(beam_size=200, dominance_enabled=False)
+    result = solve(GENERATORS[problem](20, seed=seed), config)
+    assert result.found
+    assert list(result.solution.actions) == NO_DOMINANCE_GOLDEN[problem, seed]

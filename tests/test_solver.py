@@ -305,6 +305,40 @@ def test_vrp_expansion_prunes_like_every_feasible_move(case):
     # prune layer.
     ctx, beam = case
     groups = row_groups(beam)
+    every = every_vrp_move(ctx, beam, groups)
+
+    def survivors(cand):
+        kept = prune_capacity_time(cand, cand.extra) if len(cand) else cand
+        return sorted(zip(kept.parent_pos.tolist(), kept.action.tolist(),
+                          kept.cost_at().tolist(), kept.extra.tolist()))
+
+    cand = expand_vrp(beam, groups, ctx)
+    assert survivors(cand) == survivors(every)
+    assert (sorted(zip(cand.parent_pos.tolist(), cand.action.tolist()))
+            == sorted(zip(every.parent_pos.tolist(), every.action.tolist())))
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=vrp_beams())
+@example(case=via_rounding_case())
+def test_vrp_grid_cut_equals_list_cut(case):
+    # At every beam size, the cut on expand_vrp's grid (hot-marking by group
+    # and target, row picking, k-widening, the objective read for the kernel
+    # rows only) selects what the same cut selects on the every-move list.
+    ctx, beam = case
+    groups = row_groups(beam)
+    grid, every = expand_vrp(beam, groups, ctx), every_vrp_move(ctx, beam, groups)
+    assert len(grid) == len(every)
+    for beam_size in range(1, len(grid) + 1):
+        assert_same_candidates(
+            select_top_b(prune_capacity_time(grid, lambda c: c.extra, None, beam_size),
+                         beam_size),
+            select_top_b(prune_capacity_time(every, every.extra, None, beam_size), beam_size))
+
+
+def every_vrp_move(ctx, beam, groups):
+    """Every feasible VRP move of the beam, listed per row by a Python loop
+    and built by _build_candidates."""
     n, d = ctx.n, ctx.instance.demands
     pairs = []
     for r, cur in enumerate(beam.current):
@@ -316,19 +350,9 @@ def test_vrp_expansion_prunes_like_every_feasible_move(case):
             if (cur == DEPOT or ctx.adj[cur, DEPOT]) and ctx.adj[DEPOT, j]:
                 pairs.append((r, n + j, ctx.instance.capacity - d[j]))
     ppos, col, extra = (np.array(v) for v in zip(*pairs)) if pairs else [np.zeros(0, int)] * 3
-    every = solver._build_candidates(ctx, beam, groups, ppos.astype(np.int64),
-                                     col.astype(np.int64),
-                                     col.astype(np.int64) % n, extra.astype(float))
-
-    def survivors(cand):
-        kept = prune_capacity_time(cand, cand.extra) if len(cand) else cand
-        return sorted(zip(kept.parent_pos.tolist(), kept.action.tolist(),
-                          kept.cost_at().tolist(), kept.extra.tolist()))
-
-    cand = expand_vrp(beam, groups, ctx)
-    assert survivors(cand) == survivors(every)
-    assert (sorted(zip(cand.parent_pos.tolist(), cand.action.tolist()))
-            == sorted(zip(every.parent_pos.tolist(), every.action.tolist())))
+    return solver._build_candidates(ctx, beam, groups, ppos.astype(np.int64),
+                                    col.astype(np.int64),
+                                    col.astype(np.int64) % n, extra.astype(float))
 
 
 @settings(max_examples=100, deadline=None)
@@ -423,13 +447,16 @@ class TestGroupedRegain:
     # carried per group from step to step, the root's zero table included,
     # gives, bit for bit, the scores of the per-row visited @ pot_regain product.
     def check_scores(self, monkeypatch, inst, config, heatmap=None):
-        calls, build = [], solver._build_candidates
+        calls = []
 
-        def record(ctx, beam, *args, **kwargs):
-            carried = beam.regain is not None
-            calls.append((ctx, beam, build(ctx, beam, *args, **kwargs), carried))
-            return calls[-1][2]
-        monkeypatch.setattr(solver, "_build_candidates", record)
+        def recorder(expand):
+            def record(beam, groups, ctx):
+                carried = beam.regain is not None
+                calls.append((ctx, beam, expand(beam, groups, ctx), carried))
+                return calls[-1][2]
+            return record
+        for name in ("expand_tsp", "expand_vrp", "expand_tsptw"):
+            monkeypatch.setattr(solver, name, recorder(getattr(solver, name)))
         assert solve(inst, config, heatmap=heatmap).found
         shared = 0
         for ctx, beam, cand, _ in calls:
